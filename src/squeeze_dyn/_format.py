@@ -55,7 +55,7 @@ def parse_header(text: str) -> dict[str, str]:
         if not line.startswith("#"):
             break
         body = line[1:].strip()
-        if "schema=" in body and "=" in body.split("schema=")[0] + "schema=":
+        if "schema=" in body:
             head, _, schema = body.partition("schema=")
             out["schema"] = schema.strip()
             out["kind"] = head.strip()

@@ -40,10 +40,11 @@ from typing import IO, Callable, Mapping
 import numpy as np
 
 from ._format import write_csv
+from ._smalleig import min_eig_sym2, min_eig_sym3_entries, ops_for
 from .errors import DegenerateDenominator, InvalidKappa, NTooSmall
 from .kappa import KappaModel, kappa_markovian
 from .model import ChannelKind, Definition, EnsembleConfig, SqueezingValue, TimeGrid
-from .moments import CollectiveMoments, xi2_from_moments, xi2_prime_from_moments
+from .moments import ZERO_MEAN_SPIN_TOL, CollectiveMoments
 
 __all__ = [
     "Form",
@@ -161,21 +162,24 @@ def xi2_prime_oat(n: int, alpha: float, form: Form = Form.REFERENCE) -> Squeezin
 
 
 # ---------------------------------------------------------------------------
-# reference decohered forms
+# the kappa -> xi^2 map
+#
+# Along a curve n and alpha are fixed and only kappa varies, so each
+# closed form is built once per (n, alpha, channel, definition, form):
+# the alpha-only powers are computed here, and the returned map takes
+# kappa as a Python float (scalar root finding) or a numpy array (whole
+# curves) through the same formulas. Floats stay on the math module.
 
 
-def _zeta(n: int, alpha: float, kappa: float) -> float:
-    """Shared numerator of the reference family.
+def _div_or_inf(num, den):
+    """num / den, tagged +inf where den == 0, for floats or arrays."""
+    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
+        return np.where(den == 0.0, math.inf, num / np.where(den == 0.0, 1.0, den))
+    return num / den if den != 0.0 else math.inf
 
-    Transverse variance at the kappa = 1 optimal squeezing angle; the
-    A = B = 0 point (alpha = 0) is the continuous limit zeta = 1.
-    """
-    co = oat_coefficients(n, alpha)
-    if co.hypot == 0.0:
-        return 1.0
-    quad = co.a_coef - co.a_coef**2 / co.hypot
-    lin = co.b_coef**2 / co.hypot
-    return 1.0 + 0.25 * kappa * kappa * (n - 1) * quad - 0.25 * kappa * (n - 1) * lin
+
+def _smallest(x) -> float:
+    return float(np.min(x)) if isinstance(x, np.ndarray) else x
 
 
 def _check_kappa(kappa: float) -> float:
@@ -184,44 +188,63 @@ def _check_kappa(kappa: float) -> float:
     return float(kappa)
 
 
-def _xi2_reference_raw(n: int, alpha: float, kappa: float, kind: ChannelKind) -> float:
-    z = _zeta(n, alpha, kappa)
-    cpow = _cos_pow(alpha, 2 * n - 2)
-    if kind is ChannelKind.DEPHASING:
-        den = cpow
-    elif kind is ChannelKind.DEPOLARIZING:
-        den = kappa * kappa * cpow
-    else:
-        root = kappa * _cos_pow(alpha, n - 1) + (1.0 - kappa)
-        den = root * root
-    if den == 0.0:
-        return math.inf
-    return z / den
+def _zeta(n: int, co: OatCoefficients) -> Callable:
+    """Shared numerator of the reference family, as a map of kappa.
+
+    Transverse variance at the kappa = 1 optimal squeezing angle; the
+    A = B = 0 point (alpha = 0) is the continuous limit zeta = 1.
+    """
+    if co.hypot == 0.0:
+        return lambda k: 1.0 + 0.0 * k  # 1, in the shape of kappa
+    quad = co.a_coef - co.a_coef**2 / co.hypot
+    lin = co.b_coef**2 / co.hypot
+    n1 = n - 1
+    return lambda k: 1.0 + 0.25 * k * k * n1 * quad - 0.25 * k * n1 * lin
 
 
-def _xi2_prime_reference_raw(n: int, alpha: float, kappa: float, kind: ChannelKind) -> float:
-    z = _zeta(n, alpha, kappa)
-    k2 = kappa * kappa
+def _reference_map(
+    n: int, alpha: float, co: OatCoefficients, kind: ChannelKind, definition: Definition
+) -> Callable:
+    zeta = _zeta(n, co)
+    if definition is Definition.XI:
+        cpow = _cos_pow(alpha, 2 * n - 2)
+        if kind is ChannelKind.DEPHASING:
+            return lambda k: _div_or_inf(zeta(k), cpow)
+        if kind is ChannelKind.DEPOLARIZING:
+            return lambda k: _div_or_inf(zeta(k), k * k * cpow)
+        x1 = _cos_pow(alpha, n - 1)
+
+        def damped(k):
+            root = k * x1 + (1.0 - k)
+            return _div_or_inf(zeta(k), root * root)
+
+        return damped
+
     c2 = _signed_power(math.cos(2.0 * alpha), n - 2)
+    frac, inv_n = 1.0 - 1.0 / n, 1.0 / n
     if kind is ChannelKind.DEPHASING:
-        den = (1.0 - 1.0 / n) * (k2 + (1.0 - k2) * (1.0 + c2) / 2.0) + 1.0 / n
-    elif kind is ChannelKind.DEPOLARIZING:
-        den = (1.0 - 1.0 / n) * k2 + 1.0 / n
-    else:
-        bracket = 1.0 - _cos_pow(alpha, n - 1) + (1.0 + c2) / 2.0
-        den = 1.0 + (1.0 - 1.0 / n) * kappa * (1.0 - kappa) * bracket
-        if den <= 0.0:
+
+        def dephased(k):
+            k2 = k * k
+            return zeta(k) / (frac * (k2 + (1.0 - k2) * (1.0 + c2) / 2.0) + inv_n)
+
+        return dephased
+    if kind is ChannelKind.DEPOLARIZING:
+        return lambda k: zeta(k) / (frac * (k * k) + inv_n)
+    bracket = 1.0 - _cos_pow(alpha, n - 1) + (1.0 + c2) / 2.0
+
+    def damped_prime(k):
+        den = 1.0 + frac * k * (1.0 - k) * bracket
+        if _smallest(den) <= 0.0:
             raise DegenerateDenominator(
-                f"damping eigenvalue-form denominator {den} is not positive"
+                f"damping eigenvalue-form denominator {_smallest(den)} is not positive"
             )
-    return z / den
+        return zeta(k) / den
+
+    return damped_prime
 
 
-# ---------------------------------------------------------------------------
-# exact decohered forms via closed-form moments
-
-
-def _contractions(kind: ChannelKind, kappa: float) -> tuple[float, float, float]:
+def _contractions(kind: ChannelKind, kappa):
     """Heisenberg factors (r_perp, r_z, m) of one channel application:
     sigma_x/y -> r_perp sigma_x/y, sigma_z -> r_z sigma_z + m."""
     k2 = kappa * kappa
@@ -232,55 +255,103 @@ def _contractions(kind: ChannelKind, kappa: float) -> tuple[float, float, float]
     return kappa, k2, k2 - 1.0
 
 
+def _moment_entries(n: int, co: OatCoefficients, x1: float, kind: ChannelKind, kappa):
+    """Nonzero collective moments of the decohered twisted state:
+    <J_x>, <J_z> and C_xx, C_yy, C_zz, C_yz, C_xz (<J_y> = C_xy = 0).
+
+    Uses the per-pair correlators of the pure state
+    (<ss_xx> = (1+c)/2, <ss_yy> = A/2, <ss_yz> = B/4 with
+    c = cos^(N-2)(2a)) contracted by the channel factors.
+    """
+    rp, rz, m = _contractions(kind, kappa)
+    c2 = 1.0 - co.a_coef
+    pair = n * (n - 1) / 4.0
+    return (
+        0.5 * n * rp * x1,
+        0.5 * n * m,
+        n / 4.0 + pair * rp * rp * (1.0 + c2) / 2.0,
+        n / 4.0 + pair * rp * rp * co.a_coef / 2.0,
+        n / 4.0 + pair * m * m,
+        pair * rp * rz * co.b_coef / 4.0,
+        pair * rp * m * x1,
+    )
+
+
 def decohered_moments(
     n: int, alpha: float, kind: ChannelKind, kappa: float
 ) -> CollectiveMoments:
     """Collective moments of the channel-decohered twisted state, in
-    closed form.
-
-    Uses the per-pair correlators of the pure state
-    (<ss_xx> = (1+c)/2, <ss_yy> = A/2, <ss_yz> = B/4 with
-    c = cos^(N-2)(2a)) contracted by the channel factors. Exact for every
-    |kappa| <= 1, including the sign-flipped kappa < 0 branch.
+    closed form. Exact for every |kappa| <= 1, including the
+    sign-flipped kappa < 0 branch.
     """
     if n < 2:
         raise NTooSmall(f"need at least 2 particles, got {n}")
-    rp, rz, m = _contractions(kind, _check_kappa(kappa))
-    co = oat_coefficients(n, alpha)
-    c2 = 1.0 - co.a_coef
+    kappa = _check_kappa(kappa)
+    jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(
+        n, oat_coefficients(n, alpha), _cos_pow(alpha, n - 1), kind, kappa
+    )
+    corr = np.array([[cxx, 0.0, cxz], [0.0, cyy, cyz], [cxz, cyz, czz]])
+    return CollectiveMoments(n_particles=n, mean_spin=np.array([jx, 0.0, jz]), corr=corr)
+
+
+def _exact_map(
+    n: int, alpha: float, co: OatCoefficients, kind: ChannelKind, definition: Definition
+) -> Callable:
+    """The moments route of ``xi2_from_moments``/``xi2_prime_from_moments``
+    specialised to the decohered twisted state: the mean spin lies in the
+    x-z plane and C_xy = 0, so xi needs one 2x2 and xi' one 3x3 solve."""
     x1 = _cos_pow(alpha, n - 1)
-    pair = n * (n - 1) / 4.0
 
-    mean = np.array([0.5 * n * rp * x1, 0.0, 0.5 * n * m])
-    corr = np.zeros((3, 3))
-    corr[0, 0] = n / 4.0 + pair * rp * rp * (1.0 + c2) / 2.0
-    corr[1, 1] = n / 4.0 + pair * rp * rp * co.a_coef / 2.0
-    corr[2, 2] = n / 4.0 + pair * m * m
-    corr[1, 2] = corr[2, 1] = pair * rp * rz * co.b_coef / 4.0
-    corr[0, 2] = corr[2, 0] = pair * rp * m * x1
-    return CollectiveMoments(n_particles=n, mean_spin=mean, corr=corr)
+    def xi(k):
+        xp = ops_for(k)
+        jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, x1, kind, k)
+        mag = xp.sqrt(jx * jx + jz * jz)
+        vanishing = mag <= ZERO_MEAN_SPIN_TOL
+        mag = xp.where(vanishing, 1.0, mag)
+        ux, uz = jx / mag, jz / mag
+        # the plane orthogonal to the mean spin is spanned by y and
+        # (-u_z, 0, u_x); C restricted to it:
+        pww = uz * uz * cxx - 2.0 * ux * uz * cxz + ux * ux * czz
+        lam = min_eig_sym2(cyy, ux * cyz, pww, xp)
+        return xp.where(vanishing, math.inf, n * lam / mag**2)
+
+    def xi_prime(k):
+        xp = ops_for(k)
+        jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, x1, kind, k)
+        den = cxx + cyy + czz - n / 2.0
+        if _smallest(den) <= ZERO_MEAN_SPIN_TOL:
+            raise DegenerateDenominator(
+                f"<J^2> - N/2 = {_smallest(den)} is not positive; "
+                "the eigenvalue form is undefined"
+            )
+        # Gamma = (N-1)(C - <J><J>^T) + C
+        lam = min_eig_sym3_entries(
+            (n - 1) * (cxx - jx * jx) + cxx,
+            0.0,
+            (n - 1) * (cxz - jx * jz) + cxz,
+            (n - 1) * cyy + cyy,
+            (n - 1) * cyz + cyz,
+            (n - 1) * (czz - jz * jz) + czz,
+            xp,
+        )
+        return lam / den
+
+    return xi if definition is Definition.XI else xi_prime
 
 
-def _xi2_exact_raw(n: int, alpha: float, kappa: float, kind: ChannelKind) -> float:
-    m = decohered_moments(n, alpha, kind, kappa)
-    return xi2_from_moments(m).value
+def _kappa_map(
+    n: int, alpha: float, kind: ChannelKind, definition: Definition, form: Form
+) -> Callable:
+    """kappa -> xi^2 at fixed (n, alpha, channel, definition, form).
 
-
-def _xi2_prime_exact_raw(n: int, alpha: float, kappa: float, kind: ChannelKind) -> float:
-    m = decohered_moments(n, alpha, kind, kappa)
-    return xi2_prime_from_moments(m).value
-
-
-def _xi2_channel_raw(
-    n: int, alpha: float, kappa: float, kind: ChannelKind, definition: Definition, form: Form
-) -> float:
-    if definition is Definition.XI:
-        if form is Form.REFERENCE:
-            return _xi2_reference_raw(n, alpha, kappa, kind)
-        return _xi2_exact_raw(n, alpha, kappa, kind)
-    if form is Form.REFERENCE:
-        return _xi2_prime_reference_raw(n, alpha, kappa, kind)
-    return _xi2_prime_exact_raw(n, alpha, kappa, kind)
+    The map takes a Python float or a numpy array of kappa values and
+    returns the same kind; divergences are tagged +inf and an undefined
+    eigenvalue-form denominator raises ``DegenerateDenominator``.
+    """
+    if n < 2:
+        raise NTooSmall(f"need at least 2 particles, got {n}")
+    build = _reference_map if form is Form.REFERENCE else _exact_map
+    return build(n, alpha, oat_coefficients(n, alpha), kind, definition)
 
 
 def channel_xi2(
@@ -292,12 +363,8 @@ def channel_xi2(
     form: Form = Form.REFERENCE,
 ) -> SqueezingValue:
     """Decohered squeezing parameter for any channel/definition/form."""
-    if n < 2:
-        raise NTooSmall(f"need at least 2 particles, got {n}")
-    _check_kappa(kappa)
-    return SqueezingValue(
-        _xi2_channel_raw(n, alpha, kappa, kind, definition, form), definition
-    )
+    xi2 = _kappa_map(n, alpha, kind, definition, form)
+    return SqueezingValue(xi2(_check_kappa(kappa)), definition)
 
 
 def xi2_dephased(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
@@ -417,8 +484,10 @@ def optimal_alpha(n: int, xatol: float = 1e-10) -> tuple[float, float]:
     grid = np.linspace(0.0, math.pi / 2.0, _SCAN_POINTS + 2)[1:-1]
     vals = xi2_oat_curve(n, grid)
     i = int(np.argmin(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
+    # a minimum at the first or last node may lie beyond it (at large N
+    # the optimum falls below the first node), so bracket to the domain edge
+    lo = grid[i - 1] if i > 0 else 0.0
+    hi = grid[i + 1] if i + 1 < len(grid) else math.pi / 2.0
     alpha_star, best = _golden_min(lambda a: _xi2_pure_raw(n, a), lo, hi, xatol)
     return alpha_star, math.sqrt(best)
 
@@ -461,45 +530,29 @@ class SqueezingCurve:
             meta["compare_markovian"] = self.markov_rate
         return meta
 
+    def table(self) -> tuple[list[str], list[list[float]]]:
+        """Column names and rows (t, kappa, xi2[, xi2_markovian]) as
+        Python floats, shared by the CSV and JSON emitters."""
+        cols = ["t", "kappa", "xi2"]
+        data = [self.grid.nodes(), self.kappa, self.values]
+        if self.markov_values is not None:
+            cols.append("xi2_markovian")
+            data.append(self.markov_values)
+        return cols, np.column_stack(data).tolist()
+
     def to_csv(self, fp: IO[str], extra: Mapping[str, object] | None = None) -> None:
         meta = self.metadata()
         if extra:
             meta.update(extra)
-        cols = ["t", "kappa", "xi2"]
-        rows = [self.grid.nodes(), self.kappa, self.values]
-        if self.markov_values is not None:
-            cols.append("xi2_markovian")
-            rows.append(self.markov_values)
-        write_csv(fp, "curve", meta, cols, zip(*rows))
+        cols, rows = self.table()
+        write_csv(fp, "curve", meta, cols, rows)
 
 
-def _eval_curve(
-    n: int,
-    alpha: float,
-    kappas: np.ndarray,
-    kind: ChannelKind,
-    definition: Definition,
-    form: Form,
-    threads: int = 1,
-) -> np.ndarray:
+def _eval_curve(xi2: Callable, kappas: np.ndarray) -> np.ndarray:
     # the channels depend on kappa only through kappa^2 (dephasing,
     # depolarizing exactly) or up to a per-qubit z rotation that leaves
     # both parameters invariant (damping), so curves evaluate at |kappa|
-    clamped = np.minimum(np.abs(kappas), 1.0)
-
-    def eval_block(block: np.ndarray) -> np.ndarray:
-        out = np.empty(len(block))
-        for i, k in enumerate(block):
-            out[i] = _xi2_channel_raw(n, alpha, float(k), kind, definition, form)
-        return out
-
-    if threads > 1 and len(clamped) > 256:
-        from concurrent.futures import ThreadPoolExecutor
-
-        blocks = np.array_split(clamped, threads * 4)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return np.concatenate(list(pool.map(eval_block, blocks)))
-    return eval_block(clamped)
+    return xi2(np.minimum(np.abs(kappas), 1.0))
 
 
 def curve_evaluator(
@@ -511,10 +564,10 @@ def curve_evaluator(
     form: Form = Form.REFERENCE,
 ) -> Callable[[float], float]:
     """Scalar t -> xi^2(t) closure for root finding and interval scans."""
+    xi2 = _kappa_map(n, alpha, channel, definition, form)
 
     def evaluate(t: float) -> float:
-        k = min(abs(float(model.evaluate(t))), 1.0)
-        return _xi2_channel_raw(n, alpha, k, channel, definition, form)
+        return xi2(min(abs(float(model.evaluate(t))), 1.0))
 
     return evaluate
 
@@ -527,25 +580,19 @@ def squeezing_curve(
     definition: Definition = Definition.XI,
     form: Form = Form.REFERENCE,
     compare_markovian: float | None = None,
-    threads: int = 1,
 ) -> SqueezingCurve:
     """Evaluate kappa(t) on the grid and map it through the decohered
-    closed form; optionally add a Markovian comparison column computed
-    from kappa(t) = exp(-rate*t). Node evaluation is independent;
-    ``threads`` sizes an order-preserving worker pool."""
+    closed form, whole arrays at a time; optionally add a Markovian
+    comparison column computed from kappa(t) = exp(-rate*t)."""
     if cfg.n_particles < 2:
         raise NTooSmall("squeezing curves need at least 2 particles")
+    xi2 = _kappa_map(cfg.n_particles, cfg.alpha, channel, definition, form)
     ts = grid.nodes()
     kappas = np.asarray(model.evaluate(ts), dtype=float)
-    values = _eval_curve(
-        cfg.n_particles, cfg.alpha, kappas, channel, definition, form, threads
-    )
+    values = _eval_curve(xi2, kappas)
     markov_values = None
     if compare_markovian is not None:
-        mk = kappa_markovian(compare_markovian, ts)
-        markov_values = _eval_curve(
-            cfg.n_particles, cfg.alpha, np.asarray(mk), channel, definition, form, threads
-        )
+        markov_values = _eval_curve(xi2, np.asarray(kappa_markovian(compare_markovian, ts)))
     return SqueezingCurve(
         config=cfg,
         channel=channel,

@@ -13,13 +13,12 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from ._format import SCHEMA, write_csv
+from ._format import SCHEMA, parse_header, write_csv
 from .analytic import (
     Form,
     curve_evaluator,
@@ -138,20 +137,15 @@ def _add_curve_arguments(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="omit the timestamp header line",
     )
-    p.add_argument("--threads", type=int, default=None)
 
 
 def _load_tabulated(path: str) -> Tabulated:
-    from ._format import parse_header
-
     with open(path, "r", encoding="utf-8") as fp:
         text = fp.read()
     header = parse_header(text)
-    rows = [
-        line.split(",")
-        for line in text.splitlines()
-        if line and not line.startswith("#") and not line[0].isalpha()
-    ]
+    # the first line after the '#' header names the columns
+    body = [line for line in text.splitlines() if line and not line.startswith("#")]
+    rows = [line.split(",") for line in body[1:]]
     ts = np.array([float(r[0]) for r in rows])
     vals = np.array([float(r[1]) for r in rows])
     step = float(header.get("step", ts[1] - ts[0]))
@@ -194,7 +188,6 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         definition=Definition(args.definition),
         form=Form(args.form),
         compare_markovian=args.compare_markovian,
-        threads=_resolve_threads(args.threads),
     )
     extra = _timestamp_params(args.reproducible)
     extra["alpha_auto"] = args.alpha is None
@@ -204,23 +197,23 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     else:
         meta = curve.metadata()
         meta.update(extra)
-        cols = ["t", "kappa", "xi2"]
-        data = [curve.grid.nodes(), curve.kappa, curve.values]
-        if curve.markov_values is not None:
-            cols.append("xi2_markovian")
-            data.append(curve.markov_values)
+        cols, rows = curve.table()
         payload = {
             "schema": SCHEMA,
             "kind": "curve",
             "params": meta,
             "columns": cols,
-            "rows": [[float(col[i]) for col in data] for i in range(len(data[0]))],
+            "rows": rows,
         }
         _emit(args.output, lambda fp: json.dump(payload, fp, indent=1))
     return EXIT_OK
 
 
 def _cmd_death_times(args: argparse.Namespace) -> int:
+    if not args.t_max > 0.0:
+        raise ValidationError(f"--t-max must be positive, got {args.t_max}")
+    if args.coarse_step is not None and not args.coarse_step > 0.0:
+        raise ValidationError(f"--coarse-step must be positive, got {args.coarse_step}")
     cfg = _resolve_config(args)
     model = _build_model(args)
     definition = Definition(args.definition)
@@ -231,7 +224,7 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
     if isinstance(model, LorentzianClosedForm):
         regime, d_val = reservoir_regime(model.res)
         d = d_val if regime is Regime.STRONG else None
-    coarse = args.coarse_step if args.coarse_step else default_coarse_step(d)
+    coarse = args.coarse_step if args.coarse_step is not None else default_coarse_step(d)
 
     evaluator = curve_evaluator(cfg.n_particles, cfg.alpha, kind, model, definition, form)
     params: dict[str, object] = {
@@ -268,9 +261,7 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
     ns = np.unique(
         np.round(np.geomspace(args.n_min, args.n_max, args.points)).astype(int)
     )
-    threads = _resolve_threads(args.threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(optimal_alpha, [int(n) for n in ns]))
+    results = [optimal_alpha(int(n)) for n in ns]
     xi_mins = np.array([r[1] for r in results])
     slope = float(np.polyfit(np.log(ns.astype(float)), np.log(xi_mins), 1)[0])
 
@@ -341,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--output", "-o", default="-")
     p_scan.add_argument("--format", choices=["csv", "json"], default="csv")
     p_scan.add_argument("--reproducible", action="store_true")
-    p_scan.add_argument("--threads", type=int, default=None)
     p_scan.set_defaults(func=_cmd_alpha_scan)
 
     p_verify = sub.add_parser("verify", help="closed forms vs explicit-state computation")

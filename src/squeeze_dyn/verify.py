@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._format import SCHEMA
-from .analytic import Form, _xi2_channel_raw, _xi2_pure_raw
+from .analytic import Form, _xi2_pure_raw, channel_xi2
 from .errors import ValidationError
 from .model import ChannelKind, Definition, LindbladParams
 from .oracle import (
@@ -228,10 +228,8 @@ def _ensemble_cases(
                 (Definition.XI, oracle_xi),
                 (Definition.XI_PRIME, oracle_xip),
             ):
-                exact = _xi2_channel_raw(n, alpha, kappa, kind, definition, Form.EXACT)
-                reference = _xi2_channel_raw(
-                    n, alpha, kappa, kind, definition, Form.REFERENCE
-                )
+                exact = channel_xi2(n, alpha, kappa, kind, definition, Form.EXACT).value
+                reference = channel_xi2(n, alpha, kappa, kind, definition, Form.REFERENCE).value
                 cases.append(
                     CaseResult(
                         n=n,

@@ -28,8 +28,8 @@ from squeeze_dyn import (
     xi2_prime_from_moments,
     xi2_prime_oat,
 )
-from squeeze_dyn.analytic import _zeta, xi2_oat_curve
-from squeeze_dyn.errors import InvalidKappa, NTooSmall
+from squeeze_dyn.analytic import _kappa_map, _zeta, xi2_oat_curve
+from squeeze_dyn.errors import DegenerateDenominator, InvalidKappa, NTooSmall
 
 PI_6 = math.pi / 6
 
@@ -96,7 +96,7 @@ def test_zeta_reduces_to_pure_numerator_at_kappa_one():
         for alpha in np.linspace(1e-3, math.pi / 2 - 1e-3, 100):
             co = oat_coefficients(n, alpha)
             pure = 1.0 - (n - 1) * (co.hypot - co.a_coef) / 4.0
-            assert _zeta(n, alpha, 1.0) == pytest.approx(pure, abs=1e-13)
+            assert _zeta(n, co)(1.0) == pytest.approx(pure, abs=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -221,6 +221,20 @@ def test_optimal_alpha_requires_three():
         optimal_alpha(2)
 
 
+@pytest.mark.parametrize("n", [74_989, 100_000])
+def test_optimal_alpha_below_first_scan_node(n):
+    # above N ~ 6e4 the optimum lies below the first node of the bracket
+    # scan; the search must reach it rather than return that node
+    first_node = (math.pi / 2.0) / 2049
+    alpha_star, xi_min = optimal_alpha(n)
+    brute = float(np.min(xi2_oat_curve(n, np.linspace(1e-6, first_node, 200_001))))
+    assert alpha_star < first_node
+    # xi^2 carries ~1e-7 relative rounding noise near the optimum at this
+    # N (cancellation in 1 - (N-1)(hypot - A)/4); the scan-node answer was
+    # 8 % (N = 74,989) and 59 % (N = 100,000) above the minimum
+    assert xi_min**2 <= brute * (1.0 + 1e-6)
+
+
 def test_large_n_evaluation_is_stable():
     alpha_star, xi_min = optimal_alpha(100_000)
     assert 0 < alpha_star < 0.01
@@ -274,3 +288,106 @@ def test_squeezing_curve_markovian_dephasing_crossing():
     meta = curve.metadata()
     assert meta["channel"] == "dephasing"
     assert meta["rate"] == 0.005
+
+
+# the kappa -> xi^2 map on whole arrays against the scalar route
+
+MAP_NS = (2, 3, 10, 3693, 100_000)
+MAP_KAPPAS = np.array([0.0, 1e-3, -1e-3, 0.5, -0.7, 1.0])
+
+
+def _map_alpha(n):
+    return 0.3 if n == 2 else optimal_alpha(n)[0]
+
+
+def _per_node(n, alpha, kappas, kind, definition, form):
+    return np.array(
+        [channel_xi2(n, alpha, float(k), kind, definition, form).value for k in kappas]
+    )
+
+
+def _assert_map_matches(got, want, form):
+    if form is Form.REFERENCE:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("form", list(Form))
+@pytest.mark.parametrize("definition", list(Definition))
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("n", MAP_NS)
+def test_kappa_map_on_arrays_matches_per_node(n, kind, definition, form):
+    alpha = _map_alpha(n)
+    xi2 = _kappa_map(n, alpha, kind, definition, form)
+    try:
+        want = _per_node(n, alpha, MAP_KAPPAS, kind, definition, form)
+    except DegenerateDenominator:
+        # a node with an undefined denominator fails the whole array
+        with pytest.raises(DegenerateDenominator):
+            xi2(MAP_KAPPAS)
+        return
+    got = xi2(MAP_KAPPAS)
+    assert isinstance(got, np.ndarray) and got.shape == MAP_KAPPAS.shape
+    _assert_map_matches(got, want, form)
+    if kind is ChannelKind.DEPOLARIZING and definition is Definition.XI:
+        assert got[0] == math.inf
+
+
+@pytest.mark.parametrize("form", list(Form))
+@pytest.mark.parametrize("definition", list(Definition))
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("n", MAP_NS)
+def test_squeezing_curve_matches_per_node(n, kind, definition, form):
+    from squeeze_dyn import Tabulated
+
+    alpha = _map_alpha(n)
+    # kappa(t) passes through every test value at a grid node
+    kappas = np.concatenate([[1.0], MAP_KAPPAS])
+    grid = TimeGrid(0.0, float(len(kappas) - 1), 1.0)
+    curve = squeezing_curve(
+        EnsembleConfig(n, alpha), kind, Tabulated(grid, kappas), grid, definition, form
+    )
+    want = _per_node(n, alpha, np.abs(kappas), kind, definition, form)
+    _assert_map_matches(curve.values, want, form)
+
+
+@pytest.mark.parametrize("definition", list(Definition))
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_exact_map_matches_moments_route(kind, definition):
+    # independent route: the full 3x3 moments through the generic definitions
+    for n in MAP_NS:
+        alpha = _map_alpha(n)
+        got = _kappa_map(n, alpha, kind, definition, Form.EXACT)(MAP_KAPPAS)
+        to_xi2 = xi2_from_moments if definition is Definition.XI else xi2_prime_from_moments
+        want = np.array(
+            [to_xi2(decohered_moments(n, alpha, kind, float(k))).value for k in MAP_KAPPAS]
+        )
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-10, atol=0.0)
+
+
+def test_damping_prime_reference_degenerate_denominator_raises():
+    alpha = _map_alpha(3693)
+    xi2 = _kappa_map(3693, alpha, ChannelKind.DAMPING, Definition.XI_PRIME, Form.REFERENCE)
+    with pytest.raises(DegenerateDenominator):
+        channel_xi2(3693, alpha, -0.7, ChannelKind.DAMPING, Definition.XI_PRIME)
+    with pytest.raises(DegenerateDenominator):
+        xi2(-0.7)
+    with pytest.raises(DegenerateDenominator):
+        xi2(np.array([1.0, 0.5, -0.7]))
+
+
+def test_kappa_map_keeps_floats_and_array_shape():
+    # alpha = 0 makes the reference numerator constant; the curve still
+    # has one value per node
+    xi2 = _kappa_map(10, 0.0, ChannelKind.DEPHASING, Definition.XI, Form.REFERENCE)
+    assert type(xi2(0.5)) is float
+    np.testing.assert_array_equal(xi2(np.array([0.0, 0.5, 1.0])), [1.0, 1.0, 1.0])
+    for form in Form:
+        for definition in Definition:
+            value = _kappa_map(10, 0.2, ChannelKind.DAMPING, definition, form)(0.5)
+            assert type(value) is float

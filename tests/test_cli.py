@@ -297,3 +297,46 @@ def test_pure_python_backend_selection():
         check=True,
     )
     assert out.stdout.strip() == "python"
+
+
+@pytest.mark.parametrize(
+    "bad", [["--coarse-step", "0"], ["--coarse-step", "-0.05"], ["--t-max", "-5"]]
+)
+def test_death_times_rejects_nonpositive_step_and_horizon(bad, capsys):
+    args = [
+        "death-times", "--n", "10", "--channel", "depolarizing", "--definition", "xi",
+        "--kappa", "markovian", "--rate", "0.005", "--t-max", "200",
+    ]
+    assert run(args + bad) == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_tabulated_kappa_round_trips_through_csv(tmp_path):
+    from squeeze_dyn.cli import _load_tabulated
+    from squeeze_dyn.kappa import KappaSeries
+
+    grid = TimeGrid(0.0, 2.0, 0.5)
+    # a negative kappa row and one written as an exponent
+    values = np.array([1.0, 0.25, -0.5, -1e-20, 0.0])
+    kfile = tmp_path / "kappa.csv"
+    with open(kfile, "w") as fp:
+        KappaSeries(grid, values).to_csv(fp, params={"model": "test"})
+    header = parse_header(kfile.read_text())
+    assert header["kind"] == "kappa" and header["schema"] == "squeeze-dyn/1"
+    assert header["model"] == "test"
+    model = _load_tabulated(str(kfile))
+    assert model.grid == grid
+    np.testing.assert_array_equal(model.values, values)
+
+
+def test_evolve_csv_and_json_rows_agree(tmp_path):
+    common = [
+        "evolve", "--n", "10", "--channel", "damping", "--kappa", "lorentzian",
+        "--t-max", "20", "--dt", "0.5", "--compare-markovian", "0.01", "--reproducible",
+    ]
+    assert run(common + ["--output", str(tmp_path / "c.csv")]) == 0
+    assert run(common + ["--format", "json", "--output", str(tmp_path / "c.json")]) == 0
+    lines = [l for l in (tmp_path / "c.csv").read_text().splitlines() if not l.startswith("#")]
+    payload = json.loads((tmp_path / "c.json").read_text())
+    assert payload["columns"] == lines[0].split(",")
+    assert payload["rows"] == [[float(x) for x in l.split(",")] for l in lines[1:]]
