@@ -8,7 +8,6 @@ solver, an explicit small-N density-matrix cross-check, and death/revival
 analysis of the resulting curves.
 """
 
-from ._volterra import BACKEND as volterra_backend
 from .analytic import (
     Form,
     OatCoefficients,
@@ -82,7 +81,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "volterra_backend",
     # model
     "ChannelKind",
     "Definition",

@@ -146,9 +146,14 @@ def _load_tabulated(path: str) -> Tabulated:
     # the first line after the '#' header names the columns
     body = [line for line in text.splitlines() if line and not line.startswith("#")]
     rows = [line.split(",") for line in body[1:]]
-    ts = np.array([float(r[0]) for r in rows])
-    vals = np.array([float(r[1]) for r in rows])
-    step = float(header.get("step", ts[1] - ts[0]))
+    if len(rows) < 2:
+        raise ValidationError(f"{path}: need at least two (t, kappa) data rows")
+    try:
+        ts = np.array([float(r[0]) for r in rows])
+        vals = np.array([float(r[1]) for r in rows])
+        step = float(header.get("step", ts[1] - ts[0]))
+    except (ValueError, IndexError) as exc:
+        raise ValidationError(f"{path}: malformed kappa file: {exc}") from exc
     grid = TimeGrid(t_start=float(ts[0]), t_end=float(ts[-1]), step=step)
     return Tabulated(grid=grid, values=vals)
 

@@ -94,18 +94,28 @@ def squeezed_intervals(
     return intervals
 
 
+def _first_death(intervals: list[SqueezedInterval], horizon: float) -> float | None:
+    """``first_death_time`` read off the interval list: the end of an
+    interval that starts at t = 0."""
+    if not intervals or intervals[0].t_start > 0.0:
+        return 0.0
+    first = intervals[0]
+    return None if first.t_end >= horizon else first.t_end
+
+
+def _final_death(intervals: list[SqueezedInterval], horizon: float) -> float | None:
+    if not intervals:
+        return 0.0
+    last = intervals[-1]
+    return None if last.t_end >= horizon else last.t_end
+
+
 def final_death_time(
     evaluator: Evaluator, horizon: float, coarse_step: float
 ) -> float | None:
     """Supremum of squeezed-interval right endpoints within the horizon;
     None if still squeezed at the horizon, 0 if never squeezed."""
-    intervals = squeezed_intervals(evaluator, horizon, coarse_step)
-    if not intervals:
-        return 0.0
-    last = intervals[-1]
-    if last.t_end >= horizon:
-        return None
-    return last.t_end
+    return _final_death(squeezed_intervals(evaluator, horizon, coarse_step), horizon)
 
 
 def default_coarse_step(d: float | None = None) -> float:
@@ -123,7 +133,8 @@ def death_report(
     coarse_step: float,
     params: dict[str, object] | None = None,
 ) -> dict[str, object]:
-    """JSON-ready summary: interval list plus first/final death times."""
+    """JSON-ready summary: interval list plus first/final death times, all
+    from one scan of the curve."""
     intervals = squeezed_intervals(evaluator, horizon, coarse_step)
     return {
         "schema": SCHEMA,
@@ -132,6 +143,6 @@ def death_report(
         "horizon": horizon,
         "coarse_step": coarse_step,
         "intervals": [[iv.t_start, iv.t_end] for iv in intervals],
-        "first_death": first_death_time(evaluator, horizon, coarse_step),
-        "final_death": final_death_time(evaluator, horizon, coarse_step),
+        "first_death": _first_death(intervals, horizon),
+        "final_death": _final_death(intervals, horizon),
     }

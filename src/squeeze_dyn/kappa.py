@@ -31,7 +31,6 @@ from typing import Callable, IO, Mapping
 import numpy as np
 
 from ._format import write_csv
-from ._volterra import BACKEND, solve_history
 from .errors import (
     KernelEvaluationError,
     NegativeTime,
@@ -52,7 +51,6 @@ __all__ = [
     "kappa_lorentzian",
     "solve_volterra",
     "kappa_zeros",
-    "BACKEND",
 ]
 
 # switch to the series limit when |2*eta0*gamma - gamma^2| < tol * gamma^2,
@@ -169,14 +167,42 @@ class KappaSeries:
         write_csv(fp, "kappa", meta, ["t", "kappa"], zip(self.grid.nodes(), self.values))
 
 
+def _solve_history(fvals: np.ndarray, h: float, out: np.ndarray) -> None:
+    """Fill ``out`` (length M) with kappa at the grid nodes.
+
+    ``fvals[j]`` must hold the kernel sampled at j*h. The per-step history
+    sum is one dot over the stored past, so the loop stays usable at
+    10^4-10^5 nodes.
+    """
+    M = fvals.shape[0]
+    f0 = fvals[0]
+    out[0] = 1.0
+    for n in range(M - 1):
+        if n == 0:
+            g_n = 0.0
+        else:
+            s = 0.5 * fvals[n] * out[0] + 0.5 * f0 * out[n]
+            if n > 1:
+                s += np.dot(fvals[n - 1:0:-1], out[1:n])
+            g_n = -h * s
+        pred = out[n] + h * g_n
+        s = 0.5 * fvals[n + 1] * out[0] + 0.5 * f0 * pred
+        if n >= 1:
+            s += np.dot(fvals[n:0:-1], out[1:n + 1])
+        g_p = -h * s
+        out[n + 1] = out[n] + 0.5 * h * (g_n + g_p)
+
+
 def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
     """Numerically integrate kappa'(t) = -int_0^t f(t-s) kappa(s) ds.
 
     Product-trapezoidal quadrature for the history integral plus a
-    second-order predictor-corrector step; O(M^2) in the node count and
-    reproducible bit-for-bit for identical inputs. The grid must start at
-    t = 0 (the history integral anchors there) and satisfy the stability
-    guard step*sqrt(|f(0)|) < 0.1.
+    second-order Heun predictor-corrector step; O(M^2) in the node count.
+    Identical inputs give bit-identical output only under a fixed BLAS
+    thread setting: the per-step history dot may be split across BLAS
+    threads, which changes the summation order in the last bits. The grid
+    must start at t = 0 (the history integral anchors there) and satisfy
+    the stability guard step*sqrt(|f(0)|) < 0.1.
     """
     if grid.t_start != 0.0:
         raise ValidationError("solver grids must start at t = 0")
@@ -197,7 +223,7 @@ def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
             "need step*sqrt(|f(0)|) < 0.1"
         )
     out = np.empty_like(fvals)
-    solve_history(fvals, grid.step, out)
+    _solve_history(fvals, grid.step, out)
     return KappaSeries(grid=grid, values=out)
 
 

@@ -274,31 +274,6 @@ def test_threads_env_fallback(monkeypatch):
         _resolve_threads(None)
 
 
-def test_pure_python_backend_selection():
-    import os
-    import subprocess
-    import sys
-
-    import squeeze_dyn
-
-    # Extend the parent environment rather than replace it, and put the
-    # directory holding the imported package first on the path, so the child
-    # imports the copy under test whether it is installed or only on PYTHONPATH.
-    package_root = os.path.dirname(os.path.dirname(squeeze_dyn.__file__))
-    env = dict(os.environ, SQUEEZE_DYN_PURE_PY="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", "import squeeze_dyn; print(squeeze_dyn.volterra_backend)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
 @pytest.mark.parametrize(
     "bad", [["--coarse-step", "0"], ["--coarse-step", "-0.05"], ["--t-max", "-5"]]
 )
@@ -327,6 +302,29 @@ def test_tabulated_kappa_round_trips_through_csv(tmp_path):
     model = _load_tabulated(str(kfile))
     assert model.grid == grid
     np.testing.assert_array_equal(model.values, values)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "t,kappa\n",  # no data rows
+        "t,kappa\n0,1\n",  # one data row: no grid step
+        "t,kappa\n0,1\n0.5,abc\n1,0.5\n",  # non-numeric cell
+        "t,kappa\n0,1\n0.5\n1,0.5\n",  # missing cell
+    ],
+)
+def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, capsys):
+    kfile = tmp_path / "kappa.csv"
+    kfile.write_text("# kappa schema=squeeze-dyn/1\n" + body)
+    code = run(
+        [
+            "evolve", "--n", "10", "--channel", "dephasing",
+            "--kappa", "tabulated", "--kappa-file", str(kfile),
+            "--t-max", "1", "--dt", "0.5", "--reproducible",
+        ]
+    )
+    assert code == 2
+    assert "kappa" in capsys.readouterr().err
 
 
 def test_evolve_csv_and_json_rows_agree(tmp_path):

@@ -114,3 +114,40 @@ def test_death_report_structure():
     assert report["first_death"] == pytest.approx(50.0, abs=1e-6)
     assert report["final_death"] == pytest.approx(50.0, abs=1e-6)
     assert report["intervals"][0][0] == 0.0
+
+
+class _Counted:
+    def __init__(self, evaluator):
+        self.evaluator = evaluator
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.evaluator(t)
+
+
+@pytest.mark.parametrize(
+    "evaluator, horizon, step",
+    [
+        (linear, 200.0, 1.0),
+        (lambda t: 0.6 + 0.7 * math.sin(t), 20.0, 0.1),  # squeezed at t = 0, revives
+        (lambda t: 1.0 + 0.5 * math.cos(t), 20.0, 0.1),  # unsqueezed at t = 0
+        (lambda t: 0.5, 10.0, 0.5),  # squeezed throughout
+        (lambda t: 1.5, 10.0, 0.5),  # never squeezed
+        (  # non-Markovian dephasing: collapses and revivals
+            curve_evaluator(
+                10, optimal_alpha(10)[0], ChannelKind.DEPHASING, LorentzianClosedForm(STRONG)
+            ),
+            100.0,
+            default_coarse_step(math.sqrt(STRONG.discriminant)),
+        ),
+    ],
+)
+def test_death_report_makes_one_pass(evaluator, horizon, step):
+    scan = _Counted(evaluator)
+    squeezed_intervals(scan, horizon, step)
+    report = _Counted(evaluator)
+    result = death_report(report, horizon, step)
+    assert report.calls == scan.calls
+    assert result["first_death"] == first_death_time(evaluator, horizon, step)
+    assert result["final_death"] == final_death_time(evaluator, horizon, step)

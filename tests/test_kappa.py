@@ -161,20 +161,36 @@ def test_solver_deterministic():
     assert np.array_equal(a, b)
 
 
-def test_solver_backends_agree():
-    from squeeze_dyn import _volterra_py
+def _solve_loop(fvals, h):
+    """The solver scheme as a plain double loop over the history sum."""
+    M = len(fvals)
+    out = [0.0] * M
+    out[0] = 1.0
+    for n in range(M - 1):
+        if n == 0:
+            g_n = 0.0
+        else:
+            s = 0.5 * fvals[n] * out[0] + 0.5 * fvals[0] * out[n]
+            for j in range(1, n):
+                s += fvals[n - j] * out[j]
+            g_n = -h * s
+        pred = out[n] + h * g_n
+        s = 0.5 * fvals[n + 1] * out[0] + 0.5 * fvals[0] * pred
+        for j in range(1, n + 1):
+            s += fvals[n + 1 - j] * out[j]
+        g_p = -h * s
+        out[n + 1] = out[n] + 0.5 * h * (g_n + g_p)
+    return np.array(out)
 
-    try:
-        from squeeze_dyn import _volterra_c
-    except ImportError:
-        pytest.skip("compiled backend not built")
-    grid = TimeGrid(0.0, 50.0, 0.01)
-    fvals = MemoryKernel.exponential(STRONG)(grid.nodes())
-    out_c = np.empty_like(fvals)
-    out_py = np.empty_like(fvals)
-    _volterra_c.solve_history(fvals, grid.step, out_c)
-    _volterra_py.solve_history(fvals, grid.step, out_py)
-    assert np.max(np.abs(out_c - out_py)) <= 1e-10
+
+def test_solver_matches_loop_reference():
+    # the numpy solver and the loop differ only in the summation order of
+    # the history sum
+    grid = TimeGrid(0.0, 50.0, 0.1)
+    kernel = MemoryKernel.exponential(STRONG)
+    series = solve_volterra(kernel, grid)
+    reference = _solve_loop(kernel(grid.nodes()).tolist(), grid.step)
+    assert np.max(np.abs(series.values - reference)) <= 1e-12
 
 
 def test_solver_stability_guard():
