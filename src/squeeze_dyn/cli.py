@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from datetime import datetime, timezone
 
@@ -49,18 +48,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is not None:
-        return max(1, value)
-    env = os.environ.get("SQUEEZE_DYN_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ValidationError(f"SQUEEZE_DYN_THREADS must be an integer: {env!r}") from exc
-    return os.cpu_count() or 1
 
 
 def _open_output(path: str):
@@ -120,9 +107,7 @@ def _add_curve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma", type=float, default=0.01, help="reservoir spectral width")
     p.add_argument("--eta0", type=float, default=10.0, help="reservoir coupling strength")
     p.add_argument("--kappa-file", default=None, help="kappa CSV for --kappa tabulated")
-    p.add_argument("--t-start", type=float, default=0.0)
     p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--dt", type=float, default=0.05)
     p.add_argument(
         "--compare-markovian",
         type=float,
@@ -131,7 +116,6 @@ def _add_curve_arguments(p: argparse.ArgumentParser) -> None:
         help="add a comparison column computed from kappa = exp(-RATE*t)",
     )
     p.add_argument("--output", "-o", default="-", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument(
         "--reproducible",
         action="store_true",
@@ -296,11 +280,7 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = run_verification(
-        max_n=args.max_n,
-        tolerance=args.tolerance,
-        threads=_resolve_threads(args.threads),
-    )
+    report = run_verification(max_n=args.max_n, tolerance=args.tolerance)
     for line in report.summary_lines():
         print(line)
     if args.output:
@@ -323,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="emit a squeezing curve")
     _add_curve_arguments(p_evolve)
+    p_evolve.add_argument("--t-start", type=float, default=0.0)
+    p_evolve.add_argument("--dt", type=float, default=0.05)
+    p_evolve.add_argument("--format", choices=["csv", "json"], default="csv")
     p_evolve.set_defaults(func=_cmd_evolve)
 
     p_death = sub.add_parser("death-times", help="death/revival report (JSON)")
@@ -343,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-n", type=int, default=6)
     p_verify.add_argument("--tolerance", type=float, default=1e-8)
     p_verify.add_argument("--output", "-o", default=None)
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -25,7 +25,7 @@ kernels and is checked against the closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, IO, Mapping
 
 import numpy as np
@@ -278,6 +278,7 @@ class Tabulated(KappaModel):
 
     grid: TimeGrid
     values: np.ndarray
+    _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=float)
@@ -290,6 +291,7 @@ class Tabulated(KappaModel):
         if not np.all(np.isfinite(vals)):
             raise ValidationError("tabulated kappa must be finite")
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "_nodes", self.grid.nodes())
 
     @classmethod
     def from_series(cls, series: KappaSeries) -> "Tabulated":
@@ -299,7 +301,7 @@ class Tabulated(KappaModel):
         arr = _check_times(t)
         if np.any(arr > self.grid.t_end * (1 + 1e-12) + 1e-12):
             raise ValidationError("evaluation time beyond the tabulated range")
-        out = np.interp(arr, self.grid.nodes(), self.values)
+        out = np.interp(arr, self._nodes, self.values)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def label(self) -> str:

@@ -1,5 +1,4 @@
-"""Exact small-N ground truth on explicit state vectors and density
-matrices.
+"""Exact small-N ground truth on explicit state vectors.
 
 Basis conventions, fixed once: per qubit, index 0 is the ground state
 |down> and index 1 the excited state |up>, so sigma_z = diag(-1, +1) and
@@ -9,9 +8,16 @@ Qubit 0 occupies the most significant bit of the composite index.
 The twisted state is built by diagonal phase accumulation (each unordered
 pair contributes phase alpha/2 on sigma_z^j sigma_z^k), under which the
 mean spin magnitude is exactly (N/2) cos^(N-1)(alpha). Channels act per
-qubit through their operator-sum representation; collective moments come
-from one- and two-qubit reduced density matrices, never assuming exchange
-symmetry.
+qubit through their operator-sum representation. Collective moments need
+only the one- and two-qubit reduced states, summed over qubits and over
+pairs (``reduced_sums``), with no assumption of exchange symmetry. A
+per-qubit channel is trace preserving, so it commutes with the partial
+trace, and every map here is linear: decohering the 2x2 and 4x4 sums of
+the pure state with ``apply_channel`` (which acts as Phi and Phi (x) Phi
+on them) gives the moments of the decohered N-qubit state without
+building its 4^N density matrix. ``apply_channel`` and
+``collective_moments`` also take full density matrices, which the tests
+use at small N to cross-check this route.
 """
 
 from __future__ import annotations
@@ -41,6 +47,8 @@ __all__ = [
     "kraus_operators",
     "apply_channel",
     "collective_moments",
+    "reduced_sums",
+    "moments_from_reduced",
     "xi2_from_state",
     "xi2_prime_from_state",
     "xi2_from_moments",
@@ -49,8 +57,9 @@ __all__ = [
     "integrate_single_qubit_generator",
 ]
 
-#: 2^12-dimensional density matrices are ~256 MiB of complex doubles
-N_CAP = 12
+#: the oracle works on 2^N-amplitude state vectors; at N = 16 one
+#: (N, alpha) ensemble of ``verify`` takes about half a second
+N_CAP = 16
 
 # Pauli matrices in the (down, up) basis order
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -175,35 +184,53 @@ def _reduced_two(state: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
     return red.reshape(4, 4)
 
 
-_PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+# sigma_a (x) sigma_b as a (3, 3, 4, 4) array, in the pair index order
+# of _reduced_two
+_PAULI_PAIRS = np.einsum("aij,bkl->abikjl", _PAULIS, _PAULIS).reshape(3, 3, 4, 4)
+
+
+def reduced_sums(state: np.ndarray, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Sum over qubits of the one-qubit reduced states (2x2) and over
+    pairs q1 < q2 of the two-qubit reduced states (4x4).
+
+    Accepts a pure-state vector or a density matrix. Both sums are linear
+    in the state, and a per-qubit channel commutes with the partial trace,
+    so ``apply_channel`` on the sums equals the sums of the channel's
+    output.
+    """
+    if n is None:
+        n = int(round(math.log2(state.shape[0])))
+    one = sum(_reduced_one(state, q, n) for q in range(n))
+    pair = np.zeros((4, 4), dtype=complex)
+    for q1 in range(n):
+        for q2 in range(q1 + 1, n):
+            pair += _reduced_two(state, q1, q2, n)
+    return one, pair
+
+
+def moments_from_reduced(one: np.ndarray, pair: np.ndarray, n: int) -> CollectiveMoments:
+    """Mean spin and symmetrized second moments of J = sum_j sigma_j / 2
+    from the sums of ``reduced_sums``.
+
+    Same-site products contribute (N/4) delta_ab; cross-site terms are
+    Tr[(sigma_a (x) sigma_b) pair], symmetrized over (a, b).
+    """
+    mean = 0.5 * np.einsum("aij,ji->a", _PAULIS, one).real
+    cross = np.einsum("abij,ji->ab", _PAULI_PAIRS, pair).real
+    corr = 0.25 * (n * np.eye(3) + cross + cross.T)
+    return CollectiveMoments(n_particles=n, mean_spin=mean, corr=corr)
 
 
 def collective_moments(state: np.ndarray, n: int | None = None) -> CollectiveMoments:
     """Mean spin and symmetrized second moments of J = sum_j sigma_j / 2.
 
-    Accepts a pure-state vector or a density matrix. Same-site products
-    contribute (N/4) delta_ab; cross-site terms come from the two-qubit
-    reduced density matrices of every pair.
+    Accepts a pure-state vector or a density matrix; the moments come
+    from the one- and two-qubit reduced states of every qubit and pair.
     """
     if n is None:
         n = int(round(math.log2(state.shape[0])))
-    mean = np.zeros(3)
-    for q in range(n):
-        red = _reduced_one(state, q, n)
-        for a, sig in enumerate(_PAULIS):
-            mean[a] += 0.5 * float(np.trace(sig @ red).real)
-
-    pair_sum = np.zeros((3, 3))
-    for q1 in range(n):
-        for q2 in range(q1 + 1, n):
-            red2 = _reduced_two(state, q1, q2, n)
-            for a, sa in enumerate(_PAULIS):
-                for b, sb in enumerate(_PAULIS):
-                    ab = float(np.trace(np.kron(sa, sb) @ red2).real)
-                    pair_sum[a, b] += ab
-                    pair_sum[b, a] += ab
-    corr = 0.25 * (n * np.eye(3) + pair_sum)
-    return CollectiveMoments(n_particles=n, mean_spin=mean, corr=corr)
+    return moments_from_reduced(*reduced_sums(state, n), n)
 
 
 def xi2_from_state(state: np.ndarray, n: int | None = None) -> SqueezingValue:
@@ -267,6 +294,13 @@ def _generator_rhs(
     return out
 
 
+def _superoperator(s: float, b: float, c: float, delta: float) -> np.ndarray:
+    """4x4 matrix L of ``_generator_rhs`` on row-major vec(chi):
+    vec(rhs(chi)) = vec(chi) @ L."""
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    return np.stack([_generator_rhs(e, s, b, c, delta).reshape(4) for e in basis])
+
+
 def integrate_single_qubit_generator(
     params: LindbladParams,
     chi0: np.ndarray,
@@ -278,10 +312,12 @@ def integrate_single_qubit_generator(
     """Integrate the single-qubit master equation to time t (RK4, fixed
     step).
 
-    ``rate_scale`` makes the generator time-local: both b and c are
-    multiplied by rate_scale(t), which may go negative over intervals
-    (information backflow). The default step is 1e-3 / max(b, c, |delta|).
-    Raises StepInstability if the trace drifts from 1 by more than 1e-8.
+    ``chi0`` is one 2x2 matrix or a (k, 2, 2) batch, integrated together
+    and returned in the same shape. ``rate_scale`` makes the generator
+    time-local: both b and c are multiplied by rate_scale(t), which may go
+    negative over intervals (information backflow). The default step is
+    1e-3 / max(b, c, |delta|). Raises StepInstability if the trace of any
+    matrix drifts from 1 by more than 1e-8.
     """
     if t < 0:
         raise ValidationError("t must be nonnegative")
@@ -293,19 +329,24 @@ def integrate_single_qubit_generator(
     n_steps = max(1, int(math.ceil(t / h)))
     h = t / n_steps
 
+    # the right-hand side is L_delta + r(tau) * L_bc, linear in (b, c)
+    l_delta = _superoperator(params.s, 0.0, 0.0, delta)
+    l_bc = _superoperator(params.s, params.b, params.c, 0.0)
+
     def rhs(tau: float, x: np.ndarray) -> np.ndarray:
         r = rate_scale(tau) if rate_scale is not None else 1.0
-        return _generator_rhs(x, params.s, params.b * r, params.c * r, delta)
+        return x @ (l_delta + r * l_bc)
 
+    x = chi.reshape(-1, 4)
     tau = 0.0
     for _ in range(n_steps):
-        k1 = rhs(tau, chi)
-        k2 = rhs(tau + 0.5 * h, chi + 0.5 * h * k1)
-        k3 = rhs(tau + 0.5 * h, chi + 0.5 * h * k2)
-        k4 = rhs(tau + h, chi + h * k3)
-        chi = chi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = rhs(tau, x)
+        k2 = rhs(tau + 0.5 * h, x + 0.5 * h * k1)
+        k3 = rhs(tau + 0.5 * h, x + 0.5 * h * k2)
+        k4 = rhs(tau + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tau += h
-    drift = abs(complex(np.trace(chi)) - 1.0)
+    drift = float(np.max(np.abs(x[:, 0] + x[:, 3] - 1.0)))
     if drift > 1e-8:
         raise StepInstability(f"trace drifted by {drift}; reduce the step")
-    return chi
+    return x.reshape(chi.shape)

@@ -201,7 +201,35 @@ def test_verify_small_matrix_passes(tmp_path):
 
 
 def test_verify_rejects_oversized_n():
-    assert run(["verify", "--max-n", "13"]) == 2
+    assert run(["verify", "--max-n", "17"]) == 2
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+def test_verify_rejects_bad_tolerance(tolerance, capsys):
+    assert run(["verify", "--max-n", "2", "--tolerance", tolerance]) == 2
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
+def assert_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(args)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_has_no_threads_flag(capsys):
+    assert_usage_error(["verify", "--max-n", "2", "--threads", "2"], capsys)
+
+
+@pytest.mark.parametrize(
+    "unread", [["--t-start", "150"], ["--dt", "7"], ["--format", "csv"]]
+)
+def test_death_times_rejects_curve_only_flags(unread, capsys):
+    args = [
+        "death-times", "--n", "10", "--channel", "dephasing", "--kappa", "lorentzian",
+        "--t-max", "200",
+    ]
+    assert_usage_error(args + unread, capsys)
 
 
 def test_missing_output_directory_is_io_error(tmp_path):
@@ -259,19 +287,6 @@ def test_evolve_damping_prime_stays_squeezed(tmp_path):
     rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
     assert len(rows) == 1001
     assert all(float(r[2]) < 1.0 for r in rows)
-
-
-def test_threads_env_fallback(monkeypatch):
-    from squeeze_dyn.cli import _resolve_threads
-
-    monkeypatch.setenv("SQUEEZE_DYN_THREADS", "3")
-    assert _resolve_threads(None) == 3
-    assert _resolve_threads(2) == 2  # flag wins over the environment
-    monkeypatch.setenv("SQUEEZE_DYN_THREADS", "junk")
-    from squeeze_dyn.errors import ValidationError
-
-    with pytest.raises(ValidationError):
-        _resolve_threads(None)
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,17 @@ from squeeze_dyn.errors import (
     ValidationError,
 )
 from squeeze_dyn.kappa import ReservoirConfig, kappa_lorentzian
-from squeeze_dyn.oracle import SIGMA_X, SIGMA_Y, SIGMA_Z
+from squeeze_dyn.oracle import (
+    N_CAP,
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
+    _generator_rhs,
+    _superoperator,
+    moments_from_reduced,
+    reduced_sums,
+)
+from squeeze_dyn.verify import DEFAULT_ALPHAS, DEFAULT_KAPPAS, run_verification
 
 
 def random_density(rng, dim=2):
@@ -49,7 +59,7 @@ def test_zero_angle_state_is_uniform():
 def test_state_norm_and_cap():
     assert np.linalg.norm(build_oat_state(6, 0.37)) == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(NTooLarge):
-        build_oat_state(13, 0.1)
+        build_oat_state(17, 0.1)
 
 
 def test_two_particle_squeezing_matches_closed_form():
@@ -171,6 +181,47 @@ def test_vector_and_matrix_moment_paths_agree():
     np.testing.assert_allclose(mv.corr, mm.corr, atol=1e-13)
 
 
+def assert_reduced_route_matches_density_matrix(psi, n, kind, kappas):
+    one, pair = reduced_sums(psi, n)
+    for kappa in kappas:
+        reduced = moments_from_reduced(
+            apply_channel(one, kind, kappa), apply_channel(pair, kind, kappa), n
+        )
+        full = collective_moments(apply_channel(np.outer(psi, psi.conj()), kind, kappa), n)
+        np.testing.assert_allclose(reduced.mean_spin, full.mean_spin, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(reduced.corr, full.corr, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reduced_route_matches_density_matrix(n, kind):
+    for alpha in DEFAULT_ALPHAS:
+        psi = build_oat_state(n, alpha)
+        assert_reduced_route_matches_density_matrix(psi, n, kind, DEFAULT_KAPPAS)
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_reduced_route_matches_density_matrix_without_symmetry(kind):
+    n = 5
+    rng = np.random.default_rng(29)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    psi /= np.linalg.norm(psi)
+    # no exchange symmetry: the first and last qubits' reduced states differ
+    v = psi.reshape(2, 2 ** (n - 1))
+    w = psi.reshape(2 ** (n - 1), 2)
+    assert np.max(np.abs(v @ v.conj().T - w.T @ w.conj())) > 1e-2
+    assert_reduced_route_matches_density_matrix(psi, n, kind, DEFAULT_KAPPAS + (0.0, -1.0))
+
+
+def test_verification_at_the_cap():
+    rep = run_verification(
+        max_n=N_CAP, ns=(N_CAP,), alphas=(0.2,), include_generator=False
+    )
+    assert len(rep.cases) == 3 * len(DEFAULT_KAPPAS) * 2
+    assert rep.all_passed
+    assert rep.worst_exact_delta <= 1e-8
+
+
 def test_css_prime_parameter_is_one():
     m = collective_moments(build_oat_state(4, 0.0))
     assert xi2_prime_from_moments(m).value == pytest.approx(1.0, abs=1e-12)
@@ -278,3 +329,64 @@ def test_generator_instability_detected():
     # float cancellation drives the trace off 1
     with pytest.raises(StepInstability):
         integrate_single_qubit_generator(LindbladParams.damping(1.0), UP, 240.0, step=6.0)
+
+
+def test_generator_batch_matches_single_calls():
+    # coherent rotation plus a time-local depolarizing rate that goes negative
+    rng = np.random.default_rng(5)
+    batch = np.stack([PLUS, UP] + [random_density(rng) for _ in range(3)])
+    params = LindbladParams.depolarizing(0.2)
+
+    def rate(tau):
+        return math.cos(0.8 * tau)
+
+    assert rate(3.0) < 0
+    kwargs = dict(delta=0.7, rate_scale=rate, step=1e-2)
+    out = integrate_single_qubit_generator(params, batch, 5.0, **kwargs)
+    assert out.shape == batch.shape
+    for chi0, chi in zip(batch, out):
+        single = integrate_single_qubit_generator(params, chi0, 5.0, **kwargs)
+        assert single.shape == (2, 2)
+        np.testing.assert_allclose(chi, single, rtol=0, atol=1e-15)
+
+
+def test_generator_batch_instability_detected():
+    # the ground state is a fixed point of damping and stays stable on
+    # its own; in a batch with an unstable state the whole call raises
+    down = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    params = LindbladParams.damping(1.0)
+    integrate_single_qubit_generator(params, down, 240.0, step=6.0)
+    with pytest.raises(StepInstability):
+        integrate_single_qubit_generator(params, UP, 240.0, step=6.0)
+    with pytest.raises(StepInstability):
+        integrate_single_qubit_generator(params, np.stack([down, UP]), 240.0, step=6.0)
+
+
+def test_generator_superoperators_reproduce_rhs():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        chi = random_density(rng)
+        s, b, c = rng.uniform(0.0, 1.0, size=3)
+        delta, r = rng.uniform(-2.0, 2.0, size=2)
+        l_delta = _superoperator(s, 0.0, 0.0, delta)
+        l_bc = _superoperator(s, b, c, 0.0)
+        got = chi.reshape(4) @ (l_delta + r * l_bc)
+        want = _generator_rhs(chi, s, b * r, c * r, delta).reshape(4)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+
+def test_moments_contraction_matches_trace_loop():
+    # the Pauli contraction against a per-pair trace loop over
+    # sigma_a (x) sigma_b, on Hermitian sums with no special structure
+    rng = np.random.default_rng(17)
+    n = 4
+    one = 3.0 * random_density(rng)
+    pair = 6.0 * random_density(rng, 4)
+    paulis = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+    mean = [0.5 * np.trace(s @ one).real for s in paulis]
+    cross = np.array(
+        [[np.trace(np.kron(sa, sb) @ pair).real for sb in paulis] for sa in paulis]
+    )
+    m = moments_from_reduced(one, pair, n)
+    np.testing.assert_allclose(m.mean_spin, mean, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(m.corr, 0.25 * (n * np.eye(3) + cross + cross.T), rtol=0, atol=1e-14)
