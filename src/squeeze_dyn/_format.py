@@ -41,8 +41,11 @@ def write_csv(
 ) -> None:
     write_header(fp, kind, params)
     fp.write(",".join(columns) + "\n")
+    # one format per row writes the same bytes as ``fmt`` per cell: '%g'
+    # converts each number with float() itself
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     for row in rows:
-        fp.write(",".join(fmt(x) for x in row) + "\n")
+        fp.write(line % tuple(row))
 
 
 def parse_header(text: str) -> dict[str, str]:

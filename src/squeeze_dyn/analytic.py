@@ -65,6 +65,7 @@ __all__ = [
     "optimal_alpha",
     "squeezing_curve",
     "curve_evaluator",
+    "CurveEvaluator",
     "channel_xi2",
 ]
 
@@ -555,6 +556,25 @@ def _eval_curve(xi2: Callable, kappas: np.ndarray) -> np.ndarray:
     return xi2(np.minimum(np.abs(kappas), 1.0))
 
 
+class CurveEvaluator:
+    """t -> xi^2(t) along one curve, for a float or an ndarray of times.
+
+    A float gives a float through the scalar map (root finding, bisection);
+    an ndarray gives the array ``squeezing_curve`` computes for those times.
+    """
+
+    __slots__ = ("_xi2", "_model")
+
+    def __init__(self, xi2: Callable, model: KappaModel) -> None:
+        self._xi2 = xi2
+        self._model = model
+
+    def __call__(self, t):
+        if isinstance(t, np.ndarray):
+            return _eval_curve(self._xi2, np.asarray(self._model.evaluate(t), dtype=float))
+        return self._xi2(min(abs(float(self._model.evaluate(t))), 1.0))
+
+
 def curve_evaluator(
     n: int,
     alpha: float,
@@ -562,14 +582,9 @@ def curve_evaluator(
     model: KappaModel,
     definition: Definition = Definition.XI,
     form: Form = Form.REFERENCE,
-) -> Callable[[float], float]:
-    """Scalar t -> xi^2(t) closure for root finding and interval scans."""
-    xi2 = _kappa_map(n, alpha, channel, definition, form)
-
-    def evaluate(t: float) -> float:
-        return xi2(min(abs(float(model.evaluate(t))), 1.0))
-
-    return evaluate
+) -> CurveEvaluator:
+    """t -> xi^2(t) evaluator for root finding and interval scans."""
+    return CurveEvaluator(_kappa_map(n, alpha, channel, definition, form), model)
 
 
 def squeezing_curve(

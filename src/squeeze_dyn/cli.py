@@ -79,7 +79,6 @@ def _add_curve_arguments(p: argparse.ArgumentParser) -> None:
         default=None,
         help="twisting angle; defaults to the optimizer result for N",
     )
-    p.add_argument("--delta", type=float, default=0.0, help="external field strength")
     p.add_argument(
         "--channel",
         choices=[c.value for c in ChannelKind],
@@ -152,7 +151,7 @@ def _build_model(args: argparse.Namespace) -> KappaModel:
     return _load_tabulated(args.kappa_file)
 
 
-def _resolve_config(args: argparse.Namespace) -> EnsembleConfig:
+def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> EnsembleConfig:
     if args.n < 2:
         raise ValidationError("squeezing is undefined for fewer than 2 particles")
     alpha = args.alpha
@@ -160,13 +159,13 @@ def _resolve_config(args: argparse.Namespace) -> EnsembleConfig:
         if args.n < 3:
             raise ValidationError("--alpha is required for N = 2 (no optimizer bracket)")
         alpha, _ = optimal_alpha(args.n)
-    cfg = EnsembleConfig(n_particles=args.n, alpha=alpha, delta=args.delta)
+    cfg = EnsembleConfig(n_particles=args.n, alpha=alpha, delta=delta)
     validate_ensemble(cfg)
     return cfg
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    cfg = _resolve_config(args, args.delta)
     model = _build_model(args)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_max, step=args.dt)
     curve = squeezing_curve(
@@ -303,6 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="emit a squeezing curve")
     _add_curve_arguments(p_evolve)
+    # squeezing is invariant under the collective z rotation the field
+    # drives, so only the curve records it; death-times does not take it
+    p_evolve.add_argument(
+        "--delta", type=float, default=0.0, help="external field strength (recorded)"
+    )
     p_evolve.add_argument("--t-start", type=float, default=0.0)
     p_evolve.add_argument("--dt", type=float, default=0.05)
     p_evolve.add_argument("--format", choices=["csv", "json"], default="csv")

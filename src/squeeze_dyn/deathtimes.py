@@ -4,8 +4,11 @@ along an analytic curve t -> xi^2(t).
 Boundaries are bracketed on a coarse uniform scan and refined by
 bisection on the predicate xi^2 >= 1; divergence tags (+inf) count as
 unsqueezed points, so depolarizing blow-ups terminate intervals cleanly.
-Intervals narrower than two coarse steps can be missed: that is the
-documented resolution limit of the scan.
+A ``CurveEvaluator`` (what ``curve_evaluator`` returns) evaluates the
+whole coarse grid as one array; any other evaluator is called once per
+grid node. Bisection makes scalar calls either way. Intervals narrower
+than two coarse steps can be missed: that is the documented resolution
+limit of the scan.
 """
 
 from __future__ import annotations
@@ -14,7 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from ._format import SCHEMA
+from .analytic import CurveEvaluator
+from .errors import ValidationError
+from .model import MAX_GRID_NODES
 
 __all__ = [
     "SqueezedInterval",
@@ -57,23 +65,27 @@ def squeezed_intervals(
 ) -> list[SqueezedInterval]:
     """All maximal squeezed intervals within [0, horizon], boundaries
     refined by bisection."""
+    # the scan has ceil(horizon/coarse_step) + 1 nodes; checked before any
+    # is allocated, and also true when the ratio overflows or is nan
+    if not horizon / coarse_step <= MAX_GRID_NODES - 1:
+        raise ValidationError(
+            f"coarse step {coarse_step!r} over horizon {horizon!r} gives more "
+            f"than {MAX_GRID_NODES} scan nodes"
+        )
     n_steps = int(math.ceil(horizon / coarse_step))
-    ts = [min(k * coarse_step, horizon) for k in range(n_steps + 1)]
-    flags = [evaluator(t) < 1.0 for t in ts]
+    ts = np.minimum(np.arange(n_steps + 1) * coarse_step, horizon)
+    if isinstance(evaluator, CurveEvaluator):
+        flags = evaluator(ts) < 1.0
+    else:
+        flags = np.array([evaluator(t) < 1.0 for t in ts.tolist()], dtype=bool)
 
+    # squeezed runs [i, j] of grid nodes, from the edges of the flag array
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
     intervals: list[SqueezedInterval] = []
-    i = 0
-    while i <= n_steps:
-        if flags[i]:
-            j = i
-            while j + 1 <= n_steps and flags[j + 1]:
-                j += 1
-            start = ts[i] if i == 0 else _refine(evaluator, ts[i - 1], ts[i])
-            end = ts[j] if j == n_steps else _refine(evaluator, ts[j], ts[j + 1])
-            intervals.append(SqueezedInterval(start, end))
-            i = j + 1
-        else:
-            i += 1
+    for i, j in zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()):
+        start = float(ts[i]) if i == 0 else _refine(evaluator, float(ts[i - 1]), float(ts[i]))
+        end = float(ts[j]) if j == n_steps else _refine(evaluator, float(ts[j]), float(ts[j + 1]))
+        intervals.append(SqueezedInterval(start, end))
     return intervals
 
 

@@ -135,6 +135,11 @@ class MemoryKernel:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     tag: str = "custom"
+    # (c, gamma) of f(u) = c*exp(-gamma*u); set only by ``exponential``, so
+    # the solver's O(M) recurrence runs only on kernels known to have this form
+    _exponential: tuple[float, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         return self.evaluator(u)
@@ -146,7 +151,9 @@ class MemoryKernel:
         def f(u):
             return scale * np.exp(-res.gamma * np.asarray(u, dtype=float))
 
-        return cls(evaluator=f, tag=f"exponential(gamma={res.gamma!r},eta0={res.eta0!r})")
+        kernel = cls(evaluator=f, tag=f"exponential(gamma={res.gamma!r},eta0={res.eta0!r})")
+        object.__setattr__(kernel, "_exponential", (scale, res.gamma))
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -193,12 +200,44 @@ def _solve_history(fvals: np.ndarray, h: float, out: np.ndarray) -> None:
         out[n + 1] = out[n] + 0.5 * h * (g_n + g_p)
 
 
+def _solve_exponential(
+    fvals: np.ndarray, h: float, c: float, gamma: float, out: np.ndarray
+) -> None:
+    """``_solve_history`` for f(u) = c*exp(-gamma*u) in O(M).
+
+    With r = exp(-gamma*h) the history sum E_n = sum_{j=1}^{n-1} r^(n-j) kappa_j
+    obeys E_{n+1} = r*(E_n + kappa_n), and the scheme's history term is
+    c*E_n in the predictor and c*E_{n+1} in the corrector. The end-point
+    terms read the sampled ``fvals`` as the general path does.
+    """
+    M = fvals.shape[0]
+    f = memoryview(fvals)  # indexing yields Python floats
+    kap = memoryview(out)
+    f0 = f[0]
+    r = math.exp(-gamma * h)
+    kap[0] = 1.0
+    hist = 0.0  # E_n
+    for n in range(M - 1):
+        k_n = kap[n]
+        if n == 0:
+            g_n = 0.0
+        else:
+            g_n = -h * (0.5 * f[n] + 0.5 * f0 * k_n + c * hist)
+            hist = r * (hist + k_n)
+        pred = k_n + h * g_n
+        g_p = -h * (0.5 * f[n + 1] + 0.5 * f0 * pred + c * hist)
+        kap[n + 1] = k_n + 0.5 * h * (g_n + g_p)
+
+
 def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
     """Numerically integrate kappa'(t) = -int_0^t f(t-s) kappa(s) ds.
 
     Product-trapezoidal quadrature for the history integral plus a
-    second-order Heun predictor-corrector step; O(M^2) in the node count.
-    Identical inputs give bit-identical output only under a fixed BLAS
+    second-order Heun predictor-corrector step. The kernel built by
+    ``MemoryKernel.exponential`` takes O(M) time in the node count M: its
+    history sum follows a one-term recurrence, and its output does not
+    depend on the BLAS thread setting. Any other kernel takes O(M^2), and
+    identical inputs give bit-identical output only under a fixed BLAS
     thread setting: the per-step history dot may be split across BLAS
     threads, which changes the summation order in the last bits. The grid
     must start at t = 0 (the history integral anchors there) and satisfy
@@ -223,7 +262,10 @@ def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
             "need step*sqrt(|f(0)|) < 0.1"
         )
     out = np.empty_like(fvals)
-    _solve_history(fvals, grid.step, out)
+    if kernel._exponential is None:
+        _solve_history(fvals, grid.step, out)
+    else:
+        _solve_exponential(fvals, grid.step, *kernel._exponential, out)
     return KappaSeries(grid=grid, values=out)
 
 

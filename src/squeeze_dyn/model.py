@@ -210,9 +210,15 @@ class LindbladParams:
         return cls(s=1.0, b=gamma, c=gamma / 2.0)
 
 
+#: most nodes a time grid or a death-time scan may have; a finer grid is
+#: rejected before anything is allocated, since it would exhaust memory
+MAX_GRID_NODES = 10**7
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid on [t_start, t_end] with the given step."""
+    """Uniform time grid on [t_start, t_end] with the given step and at
+    most ``MAX_GRID_NODES`` nodes."""
 
     t_start: float
     t_end: float
@@ -227,6 +233,15 @@ class TimeGrid:
             raise ValidationError("t_end must exceed t_start")
         if self.step <= 0:
             raise ValidationError("step must be positive")
+        # the ratio test comes first: it also catches a step so small that
+        # the ratio overflows
+        if not (self.t_end - self.t_start) / self.step < MAX_GRID_NODES or (
+            self.n_nodes > MAX_GRID_NODES
+        ):
+            raise ValidationError(
+                f"step {self.step!r} on [{self.t_start!r}, {self.t_end!r}] "
+                f"gives more than {MAX_GRID_NODES} grid nodes"
+            )
 
     @property
     def n_nodes(self) -> int:

@@ -41,7 +41,7 @@ def test_evolve_round_trips_from_header(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     args = [
-        "evolve", "--n", "6", "--alpha", "0.25", "--channel", "damping",
+        "evolve", "--n", "6", "--alpha", "0.25", "--delta", "0.7", "--channel", "damping",
         "--kappa", "markovian", "--rate", "0.004", "--t-max", "20", "--dt", "1",
         "--reproducible",
     ]
@@ -51,6 +51,7 @@ def test_evolve_round_trips_from_header(tmp_path):
         "evolve",
         "--n", header["n"],
         "--alpha", header["alpha"],
+        "--delta", header["delta"],
         "--channel", header["channel"],
         "--definition", header["definition"],
         "--form", header["form"],
@@ -222,7 +223,8 @@ def test_verify_has_no_threads_flag(capsys):
 
 
 @pytest.mark.parametrize(
-    "unread", [["--t-start", "150"], ["--dt", "7"], ["--format", "csv"]]
+    "unread",
+    [["--t-start", "150"], ["--dt", "7"], ["--format", "csv"], ["--delta", "7"]],
 )
 def test_death_times_rejects_curve_only_flags(unread, capsys):
     args = [
@@ -299,6 +301,19 @@ def test_death_times_rejects_nonpositive_step_and_horizon(bad, capsys):
     ]
     assert run(args + bad) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["death-times", "--t-max", "200", "--coarse-step", "1e-12"],
+        ["evolve", "--t-max", "200", "--dt", "1e-12"],
+    ],
+)
+def test_grids_beyond_the_node_cap_are_usage_errors(args, capsys):
+    common = ["--n", "10", "--channel", "dephasing", "--kappa", "lorentzian"]
+    assert run(args[:1] + common + args[1:]) == 2
+    assert "nodes" in capsys.readouterr().err
 
 
 def test_tabulated_kappa_round_trips_through_csv(tmp_path):

@@ -1,20 +1,30 @@
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from squeeze_dyn import (
     ChannelKind,
+    Definition,
+    Form,
+    KappaModel,
     LorentzianClosedForm,
     MarkovianExponential,
+    MemoryKernel,
     ReservoirConfig,
+    Tabulated,
+    TimeGrid,
     curve_evaluator,
     default_coarse_step,
     final_death_time,
     first_death_time,
     optimal_alpha,
+    solve_volterra,
     squeezed_intervals,
 )
 from squeeze_dyn.deathtimes import death_report
+from squeeze_dyn.errors import ValidationError
 
 STRONG = ReservoirConfig(gamma=0.01, eta0=10.0)
 
@@ -149,3 +159,72 @@ def test_death_report_makes_one_pass(evaluator, horizon, step):
     report = _Counted(evaluator)
     death_report(report, horizon, step)
     assert report.calls == scan.calls
+
+
+def _solver_tabulated():
+    series = solve_volterra(MemoryKernel.exponential(STRONG), TimeGrid(0.0, 100.0, 0.01))
+    return Tabulated.from_series(series)
+
+
+_MODELS = [
+    LorentzianClosedForm(STRONG),
+    MarkovianExponential(rate=0.005),
+    _solver_tabulated(),
+]
+
+
+@pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label())
+@pytest.mark.parametrize("form", list(Form), ids=lambda f: f.value)
+@pytest.mark.parametrize("definition", list(Definition), ids=lambda d: d.value)
+@pytest.mark.parametrize("channel", list(ChannelKind), ids=lambda c: c.value)
+def test_array_scan_matches_scalar_scan(channel, definition, form, model):
+    ev = curve_evaluator(10, optimal_alpha(10)[0], channel, model, definition, form)
+    step = default_coarse_step(math.sqrt(STRONG.discriminant))
+    # the lambda hides the evaluator type, so the scan calls it node by node
+    assert squeezed_intervals(ev, 100.0, step) == squeezed_intervals(lambda t: ev(t), 100.0, step)
+
+
+class _RecordingModel(KappaModel):
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def evaluate(self, t):
+        self.calls.append(t)
+        return self.inner.evaluate(t)
+
+
+def test_array_scan_makes_one_array_call_then_bisects():
+    horizon, step = 100.0, default_coarse_step(math.sqrt(STRONG.discriminant))
+    n_steps = math.ceil(horizon / step)
+    alpha = optimal_alpha(10)[0]
+    model = _RecordingModel(LorentzianClosedForm(STRONG))
+    ev = curve_evaluator(10, alpha, ChannelKind.DEPHASING, model)
+    squeezed_intervals(ev, horizon, step)
+    arrays = [t for t in model.calls if isinstance(t, np.ndarray)]
+    scalars = [t for t in model.calls if not isinstance(t, np.ndarray)]
+    assert [a.shape for a in arrays] == [(n_steps + 1,)]
+    assert model.calls[0] is arrays[0]
+    assert all(type(t) is float for t in scalars)
+    # the scalar calls are exactly the bisection calls of the per-node scan
+    plain = _Counted(
+        curve_evaluator(10, alpha, ChannelKind.DEPHASING, LorentzianClosedForm(STRONG))
+    )
+    squeezed_intervals(plain, horizon, step)
+    assert scalars and len(scalars) == plain.calls - (n_steps + 1)
+
+
+def test_scan_rejects_too_many_nodes_before_allocating():
+    def never(t):
+        raise AssertionError("evaluator called")
+
+    ev = curve_evaluator(10, 0.2, ChannelKind.DEPHASING, LorentzianClosedForm(STRONG))
+    tracemalloc.start()
+    try:
+        for evaluator in (never, ev):
+            with pytest.raises(ValidationError, match="scan nodes"):
+                squeezed_intervals(evaluator, 200.0, 1e-12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -23,7 +23,8 @@ from squeeze_dyn.errors import (
     StepTooLarge,
     ValidationError,
 )
-from squeeze_dyn.kappa import _lorentzian_value
+from squeeze_dyn import kappa as kappa_module
+from squeeze_dyn.kappa import _lorentzian_value, _solve_history
 
 STRONG = ReservoirConfig(gamma=0.01, eta0=10.0)
 WEAK = ReservoirConfig(gamma=0.01, eta0=0.001)
@@ -183,14 +184,41 @@ def _solve_loop(fvals, h):
     return np.array(out)
 
 
-def test_solver_matches_loop_reference():
-    # the numpy solver and the loop differ only in the summation order of
-    # the history sum
+def _plain(kernel):
+    """The same kernel as a plain callable, which takes the O(M^2) path."""
+    return MemoryKernel(evaluator=kernel.evaluator)
+
+
+@pytest.mark.parametrize("wrap", [lambda k: k, _plain], ids=["recurrence", "history-dot"])
+def test_solver_matches_loop_reference(wrap):
+    # both solver paths differ from the loop only in how the history sum is
+    # accumulated: the dot's summation order, or the exponential recurrence
     grid = TimeGrid(0.0, 50.0, 0.1)
-    kernel = MemoryKernel.exponential(STRONG)
+    kernel = wrap(MemoryKernel.exponential(STRONG))
     series = solve_volterra(kernel, grid)
     reference = _solve_loop(kernel(grid.nodes()).tolist(), grid.step)
     assert np.max(np.abs(series.values - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "res, grid",
+    [(STRONG, TimeGrid(0.0, 100.0, 0.005)), (WEAK, TimeGrid(0.0, 1000.0, 0.05))],
+    ids=["strong", "weak"],
+)
+def test_solver_paths_agree(res, grid, monkeypatch):
+    dot_calls = []
+
+    def history(*args):
+        dot_calls.append(args[0].shape)
+        return _solve_history(*args)
+
+    monkeypatch.setattr(kappa_module, "_solve_history", history)
+    kernel = MemoryKernel.exponential(res)
+    fast = solve_volterra(kernel, grid).values
+    assert dot_calls == []
+    dot = solve_volterra(_plain(kernel), grid).values
+    assert dot_calls == [(grid.n_nodes,)]
+    assert np.max(np.abs(fast - dot)) <= 1e-12
 
 
 def test_solver_stability_guard():

@@ -14,6 +14,7 @@ from squeeze_dyn import (
     validate_ensemble,
 )
 from squeeze_dyn.errors import NonFiniteParameter, NonPositiveN, ValidationError
+from squeeze_dyn.model import MAX_GRID_NODES
 
 
 def test_validate_interior_angle_has_no_warnings():
@@ -121,3 +122,10 @@ def test_time_grid_rejects_bad_spans():
         TimeGrid(0.0, 1.0, 0.0)
     with pytest.raises(ValidationError):
         TimeGrid(-1.0, 1.0, 0.1)
+
+
+@pytest.mark.parametrize("step", [1e-12, 5e-324])  # the second overflows span/step
+def test_time_grid_rejects_too_many_nodes(step):
+    with pytest.raises(ValidationError, match="grid nodes"):
+        TimeGrid(0.0, 200.0, step)
+    assert TimeGrid(0.0, (MAX_GRID_NODES - 1) * 0.5, 0.5).n_nodes == MAX_GRID_NODES
