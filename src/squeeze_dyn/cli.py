@@ -138,6 +138,14 @@ def _load_tabulated(path: str) -> Tabulated:
     except (ValueError, IndexError) as exc:
         raise ValidationError(f"{path}: malformed kappa file: {exc}") from exc
     grid = TimeGrid(t_start=float(ts[0]), t_end=float(ts[-1]), step=step)
+    nodes = grid.nodes()
+    # the values are read as samples at the grid nodes, so the t column must
+    # sit on them; solver-written files hold the nodes exactly
+    if ts.shape != nodes.shape or not np.all(np.abs(ts - nodes) <= 1e-6 * step):
+        raise ValidationError(
+            f"{path}: t column is not the grid t = {grid.t_start!r} + k*{step!r}, "
+            f"k = 0..{grid.n_nodes - 1}"
+        )
     return Tabulated(grid=grid, values=vals)
 
 

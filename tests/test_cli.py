@@ -341,6 +341,9 @@ def test_tabulated_kappa_round_trips_through_csv(tmp_path):
         ("t,kappa\n0,1\n", "need at least two"),  # one data row: no grid step
         ("t,kappa\n0,1\n0.5,abc\n1,0.5\n", "malformed kappa file"),  # non-numeric cell
         ("t,kappa\n0,1\n0.5\n1,0.5\n", "malformed kappa file"),  # missing cell
+        # rows (0, 1), (0.9, 0.2), (1, 0.1) are not samples on the 0.5 grid
+        ("# step = 0.5\nt,kappa\n0,1\n0.9,0.2\n1.0,0.1\n", "t column is not the grid"),
+        ("t,kappa\n0,1\n0.5,0.5\n0.75,0.2\n1,0.1\n", "t column is not the grid"),
     ],
 )
 def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, reason, capsys):

@@ -24,7 +24,7 @@ from squeeze_dyn.errors import (
     ValidationError,
 )
 from squeeze_dyn import kappa as kappa_module
-from squeeze_dyn.kappa import _lorentzian_value, _solve_history
+from squeeze_dyn.kappa import _BLOCK, _lorentzian_value, _solve_general
 
 STRONG = ReservoirConfig(gamma=0.01, eta0=10.0)
 WEAK = ReservoirConfig(gamma=0.01, eta0=0.001)
@@ -154,9 +154,19 @@ def test_solver_output_bounded():
     assert series.values[0] == 1.0
 
 
-def test_solver_deterministic():
+def _damped_cosine(u):
+    """A kernel outside the exponential family."""
+    u = np.asarray(u, dtype=float)
+    return 0.3 * np.exp(-0.05 * u) * np.cos(0.7 * u)
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [MemoryKernel.exponential(STRONG), MemoryKernel(evaluator=_damped_cosine)],
+    ids=["recurrence", "general"],
+)
+def test_solver_deterministic(kernel):
     grid = TimeGrid(0.0, 20.0, 0.01)
-    kernel = MemoryKernel.exponential(STRONG)
     a = solve_volterra(kernel, grid).values
     b = solve_volterra(kernel, grid).values
     assert np.array_equal(a, b)
@@ -185,18 +195,37 @@ def _solve_loop(fvals, h):
 
 
 def _plain(kernel):
-    """The same kernel as a plain callable, which takes the O(M^2) path."""
+    """The same kernel as a plain callable, which takes the general path."""
     return MemoryKernel(evaluator=kernel.evaluator)
 
 
-@pytest.mark.parametrize("wrap", [lambda k: k, _plain], ids=["recurrence", "history-dot"])
+@pytest.mark.parametrize("wrap", [lambda k: k, _plain], ids=["recurrence", "general"])
 def test_solver_matches_loop_reference(wrap):
     # both solver paths differ from the loop only in how the history sum is
-    # accumulated: the dot's summation order, or the exponential recurrence
+    # accumulated: blocked dots and FFT products, or the exponential recurrence
     grid = TimeGrid(0.0, 50.0, 0.1)
     kernel = wrap(MemoryKernel.exponential(STRONG))
     series = solve_volterra(kernel, grid)
     reference = _solve_loop(kernel(grid.nodes()).tolist(), grid.step)
+    assert np.max(np.abs(series.values - reference)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_nodes",
+    [2, 3, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1, 4 * _BLOCK + 3, 1000],
+)
+@pytest.mark.parametrize(
+    "evaluator",
+    [_damped_cosine, lambda u: np.full_like(np.asarray(u, float), 0.04)],
+    ids=["damped-cosine", "constant"],
+)
+def test_general_solver_matches_loop_across_tile_edges(n_nodes, evaluator):
+    # node counts on both sides of each base-block and FFT-square edge
+    step = 0.125
+    grid = TimeGrid(0.0, (n_nodes - 1) * step, step)
+    assert grid.n_nodes == n_nodes
+    series = solve_volterra(MemoryKernel(evaluator=evaluator), grid)
+    reference = _solve_loop(evaluator(grid.nodes()).tolist(), step)
     assert np.max(np.abs(series.values - reference)) <= 1e-12
 
 
@@ -206,19 +235,19 @@ def test_solver_matches_loop_reference(wrap):
     ids=["strong", "weak"],
 )
 def test_solver_paths_agree(res, grid, monkeypatch):
-    dot_calls = []
+    general_calls = []
 
-    def history(*args):
-        dot_calls.append(args[0].shape)
-        return _solve_history(*args)
+    def counting(*args):
+        general_calls.append(args[0].shape)
+        return _solve_general(*args)
 
-    monkeypatch.setattr(kappa_module, "_solve_history", history)
+    monkeypatch.setattr(kappa_module, "_solve_general", counting)
     kernel = MemoryKernel.exponential(res)
-    fast = solve_volterra(kernel, grid).values
-    assert dot_calls == []
-    dot = solve_volterra(_plain(kernel), grid).values
-    assert dot_calls == [(grid.n_nodes,)]
-    assert np.max(np.abs(fast - dot)) <= 1e-12
+    recurrence = solve_volterra(kernel, grid).values
+    assert general_calls == []
+    general = solve_volterra(_plain(kernel), grid).values
+    assert general_calls == [(grid.n_nodes,)]
+    assert np.max(np.abs(recurrence - general)) <= 1e-12
 
 
 def test_solver_stability_guard():
