@@ -65,7 +65,6 @@ __all__ = [
     "optimal_alpha",
     "squeezing_curve",
     "curve_evaluator",
-    "CurveEvaluator",
     "channel_xi2",
 ]
 
@@ -556,25 +555,6 @@ def _eval_curve(xi2: Callable, kappas: np.ndarray) -> np.ndarray:
     return xi2(np.minimum(np.abs(kappas), 1.0))
 
 
-class CurveEvaluator:
-    """t -> xi^2(t) along one curve, for a float or an ndarray of times.
-
-    A float gives a float through the scalar map (root finding, bisection);
-    an ndarray gives the array ``squeezing_curve`` computes for those times.
-    """
-
-    __slots__ = ("_xi2", "_model")
-
-    def __init__(self, xi2: Callable, model: KappaModel) -> None:
-        self._xi2 = xi2
-        self._model = model
-
-    def __call__(self, t):
-        if isinstance(t, np.ndarray):
-            return _eval_curve(self._xi2, np.asarray(self._model.evaluate(t), dtype=float))
-        return self._xi2(min(abs(float(self._model.evaluate(t))), 1.0))
-
-
 def curve_evaluator(
     n: int,
     alpha: float,
@@ -582,9 +562,11 @@ def curve_evaluator(
     model: KappaModel,
     definition: Definition = Definition.XI,
     form: Form = Form.REFERENCE,
-) -> CurveEvaluator:
-    """t -> xi^2(t) evaluator for root finding and interval scans."""
-    return CurveEvaluator(_kappa_map(n, alpha, channel, definition, form), model)
+) -> Callable[[np.ndarray], np.ndarray]:
+    """t -> xi^2(t) along one curve for interval scans: an ndarray of times
+    gives the array ``squeezing_curve`` computes for them, a float a float."""
+    xi2 = _kappa_map(n, alpha, channel, definition, form)
+    return lambda t: _eval_curve(xi2, np.asarray(model.evaluate(t), dtype=float))
 
 
 def squeezing_curve(

@@ -65,6 +65,15 @@ def _emit(path: str, writer) -> None:
             fp.close()
 
 
+def _emit_table(path: str, fmt: str, kind: str, params: dict, columns: list, rows: list) -> None:
+    """Write a table as '#'-headed CSV or as one JSON document."""
+    if fmt == "csv":
+        _emit(path, lambda fp: write_csv(fp, kind, params, columns, rows))
+        return
+    payload = {"schema": SCHEMA, "kind": kind, "params": params, "columns": columns, "rows": rows}
+    _emit(path, lambda fp: json.dump(payload, fp, indent=1))
+
+
 def _timestamp_params(reproducible: bool) -> dict[str, object]:
     if reproducible:
         return {}
@@ -188,28 +197,14 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     extra = _timestamp_params(args.reproducible)
     extra["alpha_auto"] = args.alpha is None
 
-    if args.format == "csv":
-        _emit(args.output, lambda fp: curve.to_csv(fp, extra=extra))
-    else:
-        meta = curve.metadata()
-        meta.update(extra)
-        cols, rows = curve.table()
-        payload = {
-            "schema": SCHEMA,
-            "kind": "curve",
-            "params": meta,
-            "columns": cols,
-            "rows": rows,
-        }
-        _emit(args.output, lambda fp: json.dump(payload, fp, indent=1))
+    meta = curve.metadata()
+    meta.update(extra)
+    cols, rows = curve.table()
+    _emit_table(args.output, args.format, "curve", meta, cols, rows)
     return EXIT_OK
 
 
 def _cmd_death_times(args: argparse.Namespace) -> int:
-    if not args.t_max > 0.0:
-        raise ValidationError(f"--t-max must be positive, got {args.t_max}")
-    if args.coarse_step is not None and not args.coarse_step > 0.0:
-        raise ValidationError(f"--coarse-step must be positive, got {args.coarse_step}")
     cfg = _resolve_config(args)
     model = _build_model(args)
     definition = Definition(args.definition)
@@ -268,21 +263,8 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
         "slope_log_xi_vs_log_n": slope,
     }
     params.update(_timestamp_params(args.reproducible))
-    rows = [(float(n), results[i][0], results[i][1]) for i, n in enumerate(ns)]
-    if args.format == "csv":
-        _emit(
-            args.output,
-            lambda fp: write_csv(fp, "alpha-scan", params, ["n", "alpha_star", "xi_min"], rows),
-        )
-    else:
-        payload = {
-            "schema": SCHEMA,
-            "kind": "alpha-scan",
-            "params": params,
-            "columns": ["n", "alpha_star", "xi_min"],
-            "rows": [list(r) for r in rows],
-        }
-        _emit(args.output, lambda fp: json.dump(payload, fp, indent=1))
+    rows = [[float(n), alpha, xi] for n, (alpha, xi) in zip(ns, results)]
+    _emit_table(args.output, args.format, "alpha-scan", params, ["n", "alpha_star", "xi_min"], rows)
     return EXIT_OK
 
 

@@ -1,12 +1,12 @@
 """Sudden death, revival intervals, and final disappearance of squeezing
 along an analytic curve t -> xi^2(t).
 
-Boundaries are bracketed on a coarse uniform scan and refined by
-bisection on the predicate xi^2 >= 1; divergence tags (+inf) count as
-unsqueezed points, so depolarizing blow-ups terminate intervals cleanly.
-A ``CurveEvaluator`` (what ``curve_evaluator`` returns) evaluates the
-whole coarse grid as one array; any other evaluator is called once per
-grid node. Bisection makes scalar calls either way. Intervals narrower
+An evaluator maps an ndarray of times to an ndarray of xi^2 of the same
+shape. The scan makes one call on a coarse uniform grid, then refines
+every boundary together by bisection on the predicate xi^2 < 1: each
+step is one call on the midpoints of the brackets still wider than
+``REFINE_TOL``. Divergence tags (+inf) count as unsqueezed points, so
+depolarizing blow-ups terminate intervals cleanly. Intervals narrower
 than two coarse steps can be missed: that is the documented resolution
 limit of the scan.
 """
@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 
 from ._format import SCHEMA
-from .analytic import CurveEvaluator
 from .errors import ValidationError
 from .model import MAX_GRID_NODES
 
@@ -36,7 +35,7 @@ __all__ = [
 #: bisection boundary tolerance in time units
 REFINE_TOL = 1e-6
 
-Evaluator = Callable[[float], float]
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -47,16 +46,27 @@ class SqueezedInterval:
     t_end: float
 
 
-def _refine(evaluator: Evaluator, lo: float, hi: float, tol: float = REFINE_TOL) -> float:
-    """Boundary of {xi^2 >= 1} inside [lo, hi]; evaluator(lo) and
-    evaluator(hi) must straddle 1."""
-    above = evaluator(hi) >= 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if (evaluator(mid) >= 1.0) == above:
-            hi = mid
-        else:
-            lo = mid
+def _squeezed(evaluator: Evaluator, ts: np.ndarray) -> np.ndarray:
+    """xi^2(ts) < 1, elementwise; NaN counts as unsqueezed, like +inf."""
+    values = np.asarray(evaluator(ts))
+    if values.shape != ts.shape:
+        raise ValidationError(f"evaluator gave shape {values.shape} for times {ts.shape}")
+    return values < 1.0
+
+
+def _bisect(
+    evaluator: Evaluator, lo: np.ndarray, hi: np.ndarray, squeezed_hi: np.ndarray
+) -> np.ndarray:
+    """Boundaries of {xi^2 < 1} inside the brackets [lo, hi] (narrowed in
+    place), whose ends differ in the predicate (``squeezed_hi`` at hi), all
+    bisected together until each is at most ``REFINE_TOL`` wide."""
+    live = np.flatnonzero(hi - lo > REFINE_TOL)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        same = _squeezed(evaluator, mid) == squeezed_hi[live]
+        hi[live[same]] = mid[same]
+        lo[live[~same]] = mid[~same]
+        live = live[hi[live] - lo[live] > REFINE_TOL]
     return 0.5 * (lo + hi)
 
 
@@ -65,8 +75,13 @@ def squeezed_intervals(
 ) -> list[SqueezedInterval]:
     """All maximal squeezed intervals within [0, horizon], boundaries
     refined by bisection."""
+    if not (horizon > 0.0 and 0.0 < coarse_step < math.inf):
+        raise ValidationError(
+            f"horizon {horizon!r} and coarse step {coarse_step!r} must be positive, "
+            "the step finite"
+        )
     # the scan has ceil(horizon/coarse_step) + 1 nodes; checked before any
-    # is allocated, and also true when the ratio overflows or is nan
+    # is allocated, and also true when the ratio overflows
     if not horizon / coarse_step <= MAX_GRID_NODES - 1:
         raise ValidationError(
             f"coarse step {coarse_step!r} over horizon {horizon!r} gives more "
@@ -74,19 +89,18 @@ def squeezed_intervals(
         )
     n_steps = int(math.ceil(horizon / coarse_step))
     ts = np.minimum(np.arange(n_steps + 1) * coarse_step, horizon)
-    if isinstance(evaluator, CurveEvaluator):
-        flags = evaluator(ts) < 1.0
-    else:
-        flags = np.array([evaluator(t) < 1.0 for t in ts.tolist()], dtype=bool)
+    flags = _squeezed(evaluator, ts)
 
-    # squeezed runs [i, j] of grid nodes, from the edges of the flag array
+    # edge e starts or ends a squeezed run of nodes where flags[e - 1] and
+    # flags[e] differ (False beyond both ends); an edge inside the grid
+    # brackets its boundary by [ts[e - 1], ts[e]], one at 0 or past n_steps
+    # is the grid end itself
     edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
-    intervals: list[SqueezedInterval] = []
-    for i, j in zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()):
-        start = float(ts[i]) if i == 0 else _refine(evaluator, float(ts[i - 1]), float(ts[i]))
-        end = float(ts[j]) if j == n_steps else _refine(evaluator, float(ts[j]), float(ts[j + 1]))
-        intervals.append(SqueezedInterval(start, end))
-    return intervals
+    bounds = ts[np.minimum(edges, n_steps)]
+    inner = (edges > 0) & (edges <= n_steps)
+    e = edges[inner]
+    bounds[inner] = _bisect(evaluator, ts[e - 1], ts[e], flags[e])
+    return [SqueezedInterval(a, b) for a, b in bounds.reshape(-1, 2).tolist()]
 
 
 def _first_death(intervals: list[SqueezedInterval], horizon: float) -> float | None:

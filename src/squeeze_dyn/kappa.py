@@ -65,10 +65,14 @@ def _check_times(t: np.ndarray | float) -> np.ndarray:
     return arr
 
 
+def _check_rate(rate: float) -> None:
+    if not (rate > 0 and math.isfinite(rate)):
+        raise ValidationError("rate must be positive and finite")
+
+
 def kappa_markovian(rate: float, t: float | np.ndarray) -> float | np.ndarray:
     """exp(-rate*t): strictly decreasing, in (0, 1]."""
-    if rate <= 0:
-        raise ValidationError("rate must be positive")
+    _check_rate(rate)
     arr = _check_times(t)
     out = np.exp(-rate * arr)
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
@@ -317,8 +321,7 @@ class MarkovianExponential(KappaModel):
     rate: float
 
     def __post_init__(self) -> None:
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise ValidationError("rate must be positive and finite")
+        _check_rate(self.rate)
 
     def evaluate(self, t):
         return kappa_markovian(self.rate, t)

@@ -292,7 +292,14 @@ def test_evolve_damping_prime_stays_squeezed(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", [["--coarse-step", "0"], ["--coarse-step", "-0.05"], ["--t-max", "-5"]]
+    "bad",
+    [
+        ["--coarse-step", "0"],
+        ["--coarse-step", "-0.05"],
+        ["--t-max", "-5"],
+        ["--coarse-step", "nan"],
+        ["--t-max", "nan"],
+    ],
 )
 def test_death_times_rejects_nonpositive_step_and_horizon(bad, capsys):
     args = [
@@ -301,6 +308,29 @@ def test_death_times_rejects_nonpositive_step_and_horizon(bad, capsys):
     ]
     assert run(args + bad) == 2
     assert "must be positive" in capsys.readouterr().err
+
+
+def test_death_times_rejects_an_infinite_coarse_step(capsys):
+    # one scan node at 0 * inf = nan used to report no squeezing at all,
+    # although this curve is squeezed on all of [0, 200]
+    args = [
+        "death-times", "--n", "10", "--channel", "dephasing", "--kappa", "markovian",
+        "--t-max", "200", "--coarse-step", "inf", "--reproducible",
+    ]
+    assert run(args) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "0", "-0.1"])
+def test_evolve_rejects_an_unusable_markovian_comparison_rate(rate, tmp_path, capsys):
+    out = tmp_path / "c.csv"
+    args = [
+        "evolve", "--n", "10", "--channel", "dephasing", "--t-max", "1", "--dt", "0.5",
+        "--compare-markovian", rate, "--reproducible", "--output", str(out),
+    ]
+    assert run(args) == 2
+    assert "rate must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -370,4 +400,16 @@ def test_evolve_csv_and_json_rows_agree(tmp_path):
     lines = [l for l in (tmp_path / "c.csv").read_text().splitlines() if not l.startswith("#")]
     payload = json.loads((tmp_path / "c.json").read_text())
     assert payload["columns"] == lines[0].split(",")
+    assert payload["rows"] == [[float(x) for x in l.split(",")] for l in lines[1:]]
+
+
+def test_alpha_scan_csv_and_json_rows_agree(tmp_path):
+    common = ["alpha-scan", "--n-min", "10", "--n-max", "1000", "--points", "4", "--reproducible"]
+    assert run(common + ["--output", str(tmp_path / "s.csv")]) == 0
+    assert run(common + ["--format", "json", "--output", str(tmp_path / "s.json")]) == 0
+    text = (tmp_path / "s.csv").read_text()
+    lines = [l for l in text.splitlines() if not l.startswith("#")]
+    payload = json.loads((tmp_path / "s.json").read_text())
+    assert payload["kind"] == "alpha-scan" == parse_header(text)["kind"]
+    assert payload["columns"] == lines[0].split(",") == ["n", "alpha_star", "xi_min"]
     assert payload["rows"] == [[float(x) for x in l.split(",")] for l in lines[1:]]

@@ -23,7 +23,7 @@ from squeeze_dyn import (
     solve_volterra,
     squeezed_intervals,
 )
-from squeeze_dyn.deathtimes import death_report
+from squeeze_dyn.deathtimes import REFINE_TOL, SqueezedInterval, death_report
 from squeeze_dyn.errors import ValidationError
 
 STRONG = ReservoirConfig(gamma=0.01, eta0=10.0)
@@ -40,11 +40,11 @@ def test_first_death_synthetic_linear():
 
 
 def test_first_death_zero_when_unsqueezed_at_start():
-    assert first_death_time(lambda t: 1.5, horizon=10.0, coarse_step=0.5) == 0.0
+    assert first_death_time(lambda t: np.full_like(t, 1.5), horizon=10.0, coarse_step=0.5) == 0.0
 
 
 def test_first_death_none_when_squeezed_throughout():
-    assert first_death_time(lambda t: 0.5, horizon=10.0, coarse_step=0.5) is None
+    assert first_death_time(lambda t: np.full_like(t, 0.5), horizon=10.0, coarse_step=0.5) is None
 
 
 def test_single_interval_for_monotone_curve():
@@ -105,7 +105,7 @@ def test_markovian_damping_single_interval_to_horizon():
 
 def test_divergence_tags_count_as_unsqueezed():
     def diverging(t):
-        return math.inf if 2.0 <= t <= 3.0 else 0.5
+        return np.where((2.0 <= t) & (t <= 3.0), np.inf, 0.5)
 
     ivs = squeezed_intervals(diverging, horizon=5.0, coarse_step=0.1)
     assert len(ivs) == 2
@@ -140,10 +140,10 @@ class _Counted:
     "evaluator, horizon, step",
     [
         (linear, 200.0, 1.0),
-        (lambda t: 0.6 + 0.7 * math.sin(t), 20.0, 0.1),  # squeezed at t = 0, revives
-        (lambda t: 1.0 + 0.5 * math.cos(t), 20.0, 0.1),  # unsqueezed at t = 0
-        (lambda t: 0.5, 10.0, 0.5),  # squeezed throughout
-        (lambda t: 1.5, 10.0, 0.5),  # never squeezed
+        (lambda t: 0.6 + 0.7 * np.sin(t), 20.0, 0.1),  # squeezed at t = 0, revives
+        (lambda t: 1.0 + 0.5 * np.cos(t), 20.0, 0.1),  # unsqueezed at t = 0
+        (lambda t: np.full_like(t, 0.5), 10.0, 0.5),  # squeezed throughout
+        (lambda t: np.full_like(t, 1.5), 10.0, 0.5),  # never squeezed
         (  # non-Markovian dephasing: collapses and revivals
             curve_evaluator(
                 10, optimal_alpha(10)[0], ChannelKind.DEPHASING, LorentzianClosedForm(STRONG)
@@ -173,6 +173,31 @@ _MODELS = [
 ]
 
 
+def _reference_scan(evaluator, horizon, coarse_step):
+    """The per-node scan with scalar bisection that the array scan replaced."""
+    n_steps = int(math.ceil(horizon / coarse_step))
+    ts = np.minimum(np.arange(n_steps + 1) * coarse_step, horizon)
+    flags = np.array([evaluator(t) < 1.0 for t in ts.tolist()], dtype=bool)
+
+    def refine(lo, hi):
+        above = evaluator(hi) >= 1.0
+        while hi - lo > REFINE_TOL:
+            mid = 0.5 * (lo + hi)
+            if (evaluator(mid) >= 1.0) == above:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    edges = np.flatnonzero(np.diff(flags, prepend=False, append=False))
+    intervals = []
+    for i, j in zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()):
+        start = float(ts[i]) if i == 0 else refine(float(ts[i - 1]), float(ts[i]))
+        end = float(ts[j]) if j == n_steps else refine(float(ts[j]), float(ts[j + 1]))
+        intervals.append(SqueezedInterval(start, end))
+    return intervals
+
+
 @pytest.mark.parametrize("model", _MODELS, ids=lambda m: m.label())
 @pytest.mark.parametrize("form", list(Form), ids=lambda f: f.value)
 @pytest.mark.parametrize("definition", list(Definition), ids=lambda d: d.value)
@@ -180,8 +205,7 @@ _MODELS = [
 def test_array_scan_matches_scalar_scan(channel, definition, form, model):
     ev = curve_evaluator(10, optimal_alpha(10)[0], channel, model, definition, form)
     step = default_coarse_step(math.sqrt(STRONG.discriminant))
-    # the lambda hides the evaluator type, so the scan calls it node by node
-    assert squeezed_intervals(ev, 100.0, step) == squeezed_intervals(lambda t: ev(t), 100.0, step)
+    assert squeezed_intervals(ev, 100.0, step) == _reference_scan(ev, 100.0, step)
 
 
 class _RecordingModel(KappaModel):
@@ -197,21 +221,51 @@ class _RecordingModel(KappaModel):
 def test_array_scan_makes_one_array_call_then_bisects():
     horizon, step = 100.0, default_coarse_step(math.sqrt(STRONG.discriminant))
     n_steps = math.ceil(horizon / step)
-    alpha = optimal_alpha(10)[0]
     model = _RecordingModel(LorentzianClosedForm(STRONG))
-    ev = curve_evaluator(10, alpha, ChannelKind.DEPHASING, model)
-    squeezed_intervals(ev, horizon, step)
-    arrays = [t for t in model.calls if isinstance(t, np.ndarray)]
-    scalars = [t for t in model.calls if not isinstance(t, np.ndarray)]
-    assert [a.shape for a in arrays] == [(n_steps + 1,)]
-    assert model.calls[0] is arrays[0]
-    assert all(type(t) is float for t in scalars)
-    # the scalar calls are exactly the bisection calls of the per-node scan
-    plain = _Counted(
-        curve_evaluator(10, alpha, ChannelKind.DEPHASING, LorentzianClosedForm(STRONG))
-    )
-    squeezed_intervals(plain, horizon, step)
-    assert scalars and len(scalars) == plain.calls - (n_steps + 1)
+    ev = curve_evaluator(10, optimal_alpha(10)[0], ChannelKind.DEPHASING, model)
+    ivs = squeezed_intervals(ev, horizon, step)
+    assert all(isinstance(t, np.ndarray) for t in model.calls)
+    coarse, *bisections = model.calls
+    np.testing.assert_array_equal(coarse, np.minimum(np.arange(n_steps + 1) * step, horizon))
+    # every boundary is bisected in the first step, then only the open ones
+    boundaries = sum((iv.t_start > 0.0) + (iv.t_end < horizon) for iv in ivs)
+    assert boundaries > 0 and bisections[0].shape == (boundaries,)
+    assert 1 <= len(bisections) <= math.ceil(math.log2(step / REFINE_TOL))
+
+
+@pytest.mark.parametrize(
+    "horizon, step",
+    [
+        (200.0, -1.0),
+        (200.0, 0.0),
+        (200.0, math.inf),
+        (200.0, math.nan),
+        (0.0, 1.0),
+        (-5.0, 1.0),
+        (math.nan, 1.0),
+    ],
+)
+def test_scan_rejects_unusable_horizon_or_step(horizon, step):
+    def never(t):
+        raise AssertionError("evaluator called")
+
+    for scan in (squeezed_intervals, death_report):
+        with pytest.raises(ValidationError, match="must be positive"):
+            scan(never, horizon, step)
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        lambda t: 1.5,  # a scalar for the coarse grid
+        lambda t: np.zeros(3),
+        lambda t: linear(t)[:, None],
+        lambda t: linear(t) if t.size > 1 else float(linear(t)[0]),  # scalar bisection
+    ],
+)
+def test_scan_rejects_result_of_another_shape(evaluator):
+    with pytest.raises(ValidationError, match="shape"):
+        squeezed_intervals(evaluator, 200.0, 1.0)
 
 
 def test_scan_rejects_too_many_nodes_before_allocating():

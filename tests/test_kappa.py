@@ -44,6 +44,13 @@ def test_markovian_rejects_negative_time_and_rate():
         kappa_markovian(-0.1, 1.0)
 
 
+@pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+def test_markovian_rejects_a_rate_that_is_not_finite_and_positive(rate):
+    for t in (1.0, np.array([0.0, 1.0])):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            kappa_markovian(rate, t)
+
+
 @pytest.mark.parametrize("res", [STRONG, WEAK, CRITICAL])
 def test_lorentzian_starts_at_one(res):
     assert kappa_lorentzian(res, 0.0) == 1.0
