@@ -40,7 +40,7 @@ from typing import IO, Callable, Mapping
 import numpy as np
 
 from ._format import write_csv
-from ._smalleig import min_eig_sym2, min_eig_sym3_entries, ops_for
+from ._smalleig import min_eig_sym2, min_eig_sym3_entries
 from .errors import DegenerateDenominator, InvalidKappa, NTooSmall
 from .kappa import KappaModel, kappa_markovian
 from .model import ChannelKind, Definition, EnsembleConfig, SqueezingValue, TimeGrid
@@ -166,20 +166,17 @@ def xi2_prime_oat(n: int, alpha: float, form: Form = Form.REFERENCE) -> Squeezin
 #
 # Along a curve n and alpha are fixed and only kappa varies, so each
 # closed form is built once per (n, alpha, channel, definition, form):
-# the alpha-only powers are computed here, and the returned map takes
-# kappa as a Python float (scalar root finding) or a numpy array (whole
-# curves) through the same formulas. Floats stay on the math module.
+# the alpha-only powers are computed here, and the returned map takes a
+# numpy array of kappa values through numpy expressions, elementwise.
 
 
 def _div_or_inf(num, den):
-    """num / den, tagged +inf where den == 0, for floats or arrays."""
-    if isinstance(num, np.ndarray) or isinstance(den, np.ndarray):
-        return np.where(den == 0.0, math.inf, num / np.where(den == 0.0, 1.0, den))
-    return num / den if den != 0.0 else math.inf
+    """num / den, tagged +inf where den == 0."""
+    return np.where(den == 0.0, math.inf, num / np.where(den == 0.0, 1.0, den))
 
 
 def _smallest(x) -> float:
-    return float(np.min(x)) if isinstance(x, np.ndarray) else x
+    return float(np.min(x))
 
 
 def _check_kappa(kappa: float) -> float:
@@ -303,20 +300,18 @@ def _exact_map(
     x1 = _cos_pow(alpha, n - 1)
 
     def xi(k):
-        xp = ops_for(k)
         jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, x1, kind, k)
-        mag = xp.sqrt(jx * jx + jz * jz)
+        mag = np.sqrt(jx * jx + jz * jz)
         vanishing = mag <= ZERO_MEAN_SPIN_TOL
-        mag = xp.where(vanishing, 1.0, mag)
+        mag = np.where(vanishing, 1.0, mag)
         ux, uz = jx / mag, jz / mag
         # the plane orthogonal to the mean spin is spanned by y and
         # (-u_z, 0, u_x); C restricted to it:
         pww = uz * uz * cxx - 2.0 * ux * uz * cxz + ux * ux * czz
-        lam = min_eig_sym2(cyy, ux * cyz, pww, xp)
-        return xp.where(vanishing, math.inf, n * lam / mag**2)
+        lam = min_eig_sym2(cyy, ux * cyz, pww)
+        return np.where(vanishing, math.inf, n * lam / mag**2)
 
     def xi_prime(k):
-        xp = ops_for(k)
         jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, x1, kind, k)
         den = cxx + cyy + czz - n / 2.0
         if _smallest(den) <= ZERO_MEAN_SPIN_TOL:
@@ -332,7 +327,6 @@ def _exact_map(
             (n - 1) * cyy + cyy,
             (n - 1) * cyz + cyz,
             (n - 1) * (czz - jz * jz) + czz,
-            xp,
         )
         return lam / den
 
@@ -344,8 +338,8 @@ def _kappa_map(
 ) -> Callable:
     """kappa -> xi^2 at fixed (n, alpha, channel, definition, form).
 
-    The map takes a Python float or a numpy array of kappa values and
-    returns the same kind; divergences are tagged +inf and an undefined
+    The map takes a numpy array of kappa values and returns an array of
+    the same shape; divergences are tagged +inf and an undefined
     eigenvalue-form denominator raises ``DegenerateDenominator``.
     """
     if n < 2:
@@ -364,7 +358,7 @@ def channel_xi2(
 ) -> SqueezingValue:
     """Decohered squeezing parameter for any channel/definition/form."""
     xi2 = _kappa_map(n, alpha, kind, definition, form)
-    return SqueezingValue(xi2(_check_kappa(kappa)), definition)
+    return SqueezingValue(float(xi2(np.array([_check_kappa(kappa)]))[0]), definition)
 
 
 def xi2_dephased(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
@@ -564,7 +558,7 @@ def curve_evaluator(
     form: Form = Form.REFERENCE,
 ) -> Callable[[np.ndarray], np.ndarray]:
     """t -> xi^2(t) along one curve for interval scans: an ndarray of times
-    gives the array ``squeezing_curve`` computes for them, a float a float."""
+    gives the array ``squeezing_curve`` computes for them."""
     xi2 = _kappa_map(n, alpha, channel, definition, form)
     return lambda t: _eval_curve(xi2, np.asarray(model.evaluate(t), dtype=float))
 

@@ -33,6 +33,7 @@ from .kappa import (
     Tabulated,
 )
 from .model import (
+    MAX_GRID_NODES,
     ChannelKind,
     Definition,
     EnsembleConfig,
@@ -247,8 +248,8 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
 def _cmd_alpha_scan(args: argparse.Namespace) -> int:
     if not (3 <= args.n_min < args.n_max):
         raise ValidationError("need 3 <= n-min < n-max")
-    if args.points < 2:
-        raise ValidationError("need at least 2 points")
+    if not 2 <= args.points <= MAX_GRID_NODES:
+        raise ValidationError(f"need 2 <= points <= {MAX_GRID_NODES}")
     ns = np.unique(
         np.round(np.geomspace(args.n_min, args.n_max, args.points)).astype(int)
     )

@@ -73,9 +73,7 @@ def _check_rate(rate: float) -> None:
 def kappa_markovian(rate: float, t: float | np.ndarray) -> float | np.ndarray:
     """exp(-rate*t): strictly decreasing, in (0, 1]."""
     _check_rate(rate)
-    arr = _check_times(t)
-    out = np.exp(-rate * arr)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    return np.exp(-rate * _check_times(t))
 
 
 def _lorentzian_value(res: ReservoirConfig, arr: np.ndarray) -> np.ndarray:
@@ -102,9 +100,7 @@ def kappa_lorentzian(res: ReservoirConfig, t: float | np.ndarray) -> float | np.
     kappa(0) = 1 and kappa'(0) = 0 in every branch (the history integral
     vanishes at t = 0).
     """
-    arr = _check_times(t)
-    out = _lorentzian_value(res, arr)
-    return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+    return _lorentzian_value(res, _check_times(t))
 
 
 def kappa_zeros(res: ReservoirConfig, horizon: float) -> list[float]:
@@ -349,13 +345,17 @@ class LorentzianClosedForm(KappaModel):
 
 @dataclass(frozen=True)
 class Tabulated(KappaModel):
-    """Linear interpolation of solver output (or any sampled kappa)."""
+    """Linear interpolation of solver output (or any kappa sampled from
+    t = 0 on, with |kappa| <= 1)."""
 
     grid: TimeGrid
     values: np.ndarray
     _nodes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        # before t_start np.interp would repeat values[0] without data
+        if self.grid.t_start != 0.0:
+            raise ValidationError("tabulated kappa must start at t = 0")
         vals = np.asarray(self.values, dtype=float)
         if vals.shape != (self.grid.n_nodes,):
             raise ValidationError(
@@ -363,8 +363,8 @@ class Tabulated(KappaModel):
             )
         if vals[0] != 1.0:
             raise ValidationError("tabulated kappa must start at exactly 1")
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("tabulated kappa must be finite")
+        if not np.all(np.abs(vals) <= 1.0):
+            raise ValidationError("tabulated kappa must be finite with |kappa| <= 1")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_nodes", self.grid.nodes())
 
@@ -376,8 +376,7 @@ class Tabulated(KappaModel):
         arr = _check_times(t)
         if np.any(arr > self.grid.t_end * (1 + 1e-12) + 1e-12):
             raise ValidationError("evaluation time beyond the tabulated range")
-        out = np.interp(arr, self._nodes, self.values)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return np.interp(arr, self._nodes, self.values)
 
     def label(self) -> str:
         return "tabulated"

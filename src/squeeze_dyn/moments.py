@@ -69,7 +69,7 @@ def xi2_from_moments(m: CollectiveMoments) -> SqueezingValue:
     p11 = float(e1 @ m.corr @ e1)
     p22 = float(e2 @ m.corr @ e2)
     p12 = float(e1 @ m.corr @ e2)
-    lam = min_eig_sym2(p11, p12, p22)
+    lam = float(min_eig_sym2(p11, p12, p22))
     return SqueezingValue(m.n_particles * lam / mag**2, Definition.XI)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._format import SCHEMA
-from .analytic import Form, _xi2_pure_raw, channel_xi2
+from .analytic import Form, _kappa_map, _xi2_pure_raw
 from .errors import ValidationError
 from .model import ChannelKind, Definition, LindbladParams
 from .oracle import (
@@ -217,20 +217,27 @@ def _ensemble_cases(
     # per-qubit channels commute with the partial trace: reduce the pure
     # state once, then decohere the 2x2 and 4x4 sums
     one, pair = reduced_sums(build_oat_state(n, alpha), n)
+    ks = np.array(kappas, dtype=float)
     cases = []
     for kind in ChannelKind:
+        oracle = []
         for kappa in kappas:
             mom = moments_from_reduced(
                 apply_channel(one, kind, kappa), apply_channel(pair, kind, kappa), n
             )
-            oracle_xi = xi2_from_moments(mom).value
-            oracle_xip = xi2_prime_from_moments(mom).value
-            for definition, oracle_val in (
-                (Definition.XI, oracle_xi),
-                (Definition.XI_PRIME, oracle_xip),
-            ):
-                exact = channel_xi2(n, alpha, kappa, kind, definition, Form.EXACT).value
-                reference = channel_xi2(n, alpha, kappa, kind, definition, Form.REFERENCE).value
+            oracle.append({
+                Definition.XI: xi2_from_moments(mom).value,
+                Definition.XI_PRIME: xi2_prime_from_moments(mom).value,
+            })
+        # apply_channel has rejected any |kappa| > 1 above; each closed form
+        # takes every kappa in one array call
+        closed = {
+            (definition, form): _kappa_map(n, alpha, kind, definition, form)(ks).tolist()
+            for definition in Definition
+            for form in Form
+        }
+        for i, kappa in enumerate(kappas):
+            for definition in Definition:
                 cases.append(
                     CaseResult(
                         n=n,
@@ -238,9 +245,9 @@ def _ensemble_cases(
                         kappa=kappa,
                         channel=kind,
                         definition=definition,
-                        oracle=oracle_val,
-                        exact=exact,
-                        reference=reference,
+                        oracle=oracle[i][definition],
+                        exact=closed[definition, Form.EXACT][i],
+                        reference=closed[definition, Form.REFERENCE][i],
                         tolerance=tolerance,
                     )
                 )

@@ -306,15 +306,6 @@ def _per_node(n, alpha, kappas, kind, definition, form):
     )
 
 
-def _assert_map_matches(got, want, form):
-    if form is Form.REFERENCE:
-        np.testing.assert_array_equal(got, want)
-    else:
-        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-        finite = np.isfinite(want)
-        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-12, atol=0.0)
-
-
 @pytest.mark.parametrize("form", list(Form))
 @pytest.mark.parametrize("definition", list(Definition))
 @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -331,7 +322,8 @@ def test_kappa_map_on_arrays_matches_per_node(n, kind, definition, form):
         return
     got = xi2(MAP_KAPPAS)
     assert isinstance(got, np.ndarray) and got.shape == MAP_KAPPAS.shape
-    _assert_map_matches(got, want, form)
+    # one code path: a lone kappa gives exactly its array value
+    np.testing.assert_array_equal(got, want)
     if kind is ChannelKind.DEPOLARIZING and definition is Definition.XI:
         assert got[0] == math.inf
 
@@ -351,7 +343,7 @@ def test_squeezing_curve_matches_per_node(n, kind, definition, form):
         EnsembleConfig(n, alpha), kind, Tabulated(grid, kappas), grid, definition, form
     )
     want = _per_node(n, alpha, np.abs(kappas), kind, definition, form)
-    _assert_map_matches(curve.values, want, form)
+    np.testing.assert_array_equal(curve.values, want)
 
 
 @pytest.mark.parametrize("definition", list(Definition))
@@ -381,13 +373,15 @@ def test_damping_prime_reference_degenerate_denominator_raises():
         xi2(np.array([1.0, 0.5, -0.7]))
 
 
-def test_kappa_map_keeps_floats_and_array_shape():
+def test_kappa_map_keeps_array_shape():
     # alpha = 0 makes the reference numerator constant; the curve still
     # has one value per node
     xi2 = _kappa_map(10, 0.0, ChannelKind.DEPHASING, Definition.XI, Form.REFERENCE)
-    assert type(xi2(0.5)) is float
     np.testing.assert_array_equal(xi2(np.array([0.0, 0.5, 1.0])), [1.0, 1.0, 1.0])
+
+
+def test_channel_xi2_value_is_a_float():
     for form in Form:
         for definition in Definition:
-            value = _kappa_map(10, 0.2, ChannelKind.DAMPING, definition, form)(0.5)
+            value = channel_xi2(10, 0.2, 0.5, ChannelKind.DAMPING, definition, form).value
             assert type(value) is float

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,61 @@ def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, reason, capsys):
     )
     assert code == 2
     assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["evolve", "--t-max", "6", "--dt", "1"],
+        ["death-times", "--t-max", "6"],
+    ],
+)
+@pytest.mark.parametrize(
+    "body, reason",
+    [
+        # nothing is known before t = 5, yet kappa read 1 there
+        ("t,kappa\n5,1\n5.5,0.5\n6,0.2\n", "must start at t = 0"),
+        # clipped to |kappa| = 1, this row gave the unsqueezed kappa = 1 value
+        ("t,kappa\n0,1\n3,-3\n6,0.2\n", "|kappa| <= 1"),
+    ],
+)
+def test_kappa_file_outside_the_tabulated_domain_is_a_usage_error(
+    tmp_path, command, body, reason, capsys
+):
+    kfile = tmp_path / "k.csv"
+    kfile.write_text("# kappa schema=squeeze-dyn/1\n" + body)
+    out = tmp_path / "out"
+    args = command[:1] + [
+        "--n", "10", "--channel", "dephasing", "--kappa", "tabulated",
+        "--kappa-file", str(kfile), "--reproducible", "--output", str(out),
+    ] + command[1:]
+    assert run(args) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [10**12, 10**7 + 1])
+def test_alpha_scan_rejects_too_many_points_before_allocating(points, capsys):
+    tracemalloc.start()
+    try:
+        code = run(["alpha-scan", "--n-min", "3", "--n-max", "1000", "--points", str(points)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "points" in capsys.readouterr().err
+    assert peak < 1 << 20
+
+
+def test_alpha_scan_more_points_than_sizes_gives_one_row_per_size(tmp_path):
+    out = tmp_path / "scan.csv"
+    code = run(
+        ["alpha-scan", "--n-min", "3", "--n-max", "4", "--points", "5",
+         "--reproducible", "--output", str(out)]
+    )
+    assert code == 0
+    rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+    assert [float(r.split(",")[0]) for r in rows] == [3.0, 4.0]
 
 
 def test_evolve_csv_and_json_rows_agree(tmp_path):

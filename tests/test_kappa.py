@@ -303,3 +303,17 @@ def test_tabulated_interpolates_and_validates():
         Tabulated(grid=grid, values=np.array([0.9, 0.5, 0.25]))  # must start at 1
     with pytest.raises(ValidationError):
         tab.evaluate(3.0)  # beyond range
+
+
+def test_tabulated_rejects_a_grid_not_starting_at_zero():
+    # np.interp would repeat values[0] over [0, t_start), where there is no data
+    with pytest.raises(ValidationError, match="must start at t = 0"):
+        Tabulated(grid=TimeGrid(5.0, 6.0, 0.5), values=np.array([1.0, 0.5, 0.2]))
+
+
+@pytest.mark.parametrize("bad", [-3.0, 1.5, math.inf, math.nan])
+def test_tabulated_rejects_kappa_outside_the_unit_interval(bad):
+    with pytest.raises(ValidationError, match=r"\|kappa\| <= 1"):
+        Tabulated(grid=TimeGrid(0.0, 2.0, 1.0), values=np.array([1.0, bad, 0.2]))
+    # the bound itself is a valid kappa
+    Tabulated(grid=TimeGrid(0.0, 2.0, 1.0), values=np.array([1.0, -1.0, 1.0]))

@@ -26,6 +26,7 @@ from squeeze_dyn.errors import (
     StepInstability,
     ValidationError,
 )
+from squeeze_dyn.analytic import Form, channel_xi2
 from squeeze_dyn.kappa import ReservoirConfig, kappa_lorentzian
 from squeeze_dyn.oracle import (
     N_CAP,
@@ -220,6 +221,19 @@ def test_verification_at_the_cap():
     assert len(rep.cases) == 3 * len(DEFAULT_KAPPAS) * 2
     assert rep.all_passed
     assert rep.worst_exact_delta <= 1e-8
+
+
+def test_verification_closed_forms_equal_channel_xi2():
+    # verify evaluates each closed form on all its kappas in one array;
+    # each value must be exactly the one channel_xi2 gives for its kappa
+    rep = run_verification(max_n=8, include_generator=False)
+    assert len(rep.cases) == 6 * len(DEFAULT_ALPHAS) * 3 * len(DEFAULT_KAPPAS) * 2
+    for c in rep.cases:
+        for form, value in ((Form.EXACT, c.exact), (Form.REFERENCE, c.reference)):
+            assert value == channel_xi2(c.n, c.alpha, c.kappa, c.channel, c.definition, form).value
+    # the oracle still rejects a bad kappa before any closed form sees it
+    with pytest.raises(InvalidKappa):
+        run_verification(ns=(3,), kappas=(0.5, 1.5), include_generator=False)
 
 
 def test_css_prime_parameter_is_one():
