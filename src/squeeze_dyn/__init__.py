@@ -11,22 +11,14 @@ analysis of the resulting curves.
 from .analytic import (
     Form,
     OatCoefficients,
-    SpinDirections,
     SqueezingCurve,
     channel_xi2,
     curve_evaluator,
     decohered_moments,
     oat_coefficients,
     optimal_alpha,
-    spin_directions,
     squeezing_curve,
-    xi2_damped,
-    xi2_dephased,
-    xi2_depolarized,
     xi2_oat,
-    xi2_prime_damped,
-    xi2_prime_dephased,
-    xi2_prime_depolarized,
     xi2_prime_oat,
 )
 from .deathtimes import (
@@ -107,22 +99,14 @@ __all__ = [
     # analytic
     "Form",
     "OatCoefficients",
-    "SpinDirections",
     "SqueezingCurve",
     "channel_xi2",
     "curve_evaluator",
     "decohered_moments",
     "oat_coefficients",
     "optimal_alpha",
-    "spin_directions",
     "squeezing_curve",
-    "xi2_damped",
-    "xi2_dephased",
-    "xi2_depolarized",
     "xi2_oat",
-    "xi2_prime_damped",
-    "xi2_prime_dephased",
-    "xi2_prime_depolarized",
     "xi2_prime_oat",
     # moments / oracle
     "CollectiveMoments",

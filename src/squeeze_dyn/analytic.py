@@ -9,6 +9,13 @@ variance-form parameter is
 
     xi^2 = [1 - (N-1)(sqrt(A^2+B^2) - A)/4] / cos^(2N-2)(alpha).
 
+``oat_coefficients(n, alpha)`` computes every alpha-only quantity once,
+as one ``OatCoefficients`` record: ``a_coef`` (A), ``b_coef`` (B),
+``hypot`` (sqrt(A^2+B^2)), ``c2`` (cos^(N-2)(2 alpha)), ``x1``
+(cos^(N-1)(alpha)) and ``cpow`` (cos^(2N-2)(alpha)). Every closed form
+below reads its powers from that record, except the alpha-grid scan
+``xi2_oat_curve``, which computes them on arrays.
+
 Decohered expressions come in two families, selected by ``Form``:
 
 ``Form.REFERENCE``
@@ -49,19 +56,11 @@ from .moments import ZERO_MEAN_SPIN_TOL, CollectiveMoments
 __all__ = [
     "Form",
     "OatCoefficients",
-    "SpinDirections",
     "SqueezingCurve",
     "oat_coefficients",
     "xi2_oat",
     "xi2_prime_oat",
-    "xi2_dephased",
-    "xi2_depolarized",
-    "xi2_damped",
-    "xi2_prime_dephased",
-    "xi2_prime_depolarized",
-    "xi2_prime_damped",
     "decohered_moments",
-    "spin_directions",
     "optimal_alpha",
     "squeezing_curve",
     "curve_evaluator",
@@ -89,26 +88,37 @@ def _signed_power(base: float, expo: int) -> float:
     return -val if (base < 0.0 and expo % 2) else val
 
 
-def _cos_pow(alpha: float, expo: int) -> float:
-    return _signed_power(math.cos(alpha), expo)
-
-
 @dataclass(frozen=True)
 class OatCoefficients:
-    """Pair coefficients A, B of the twisted state, plus sqrt(A^2+B^2)."""
+    """The alpha-only quantities of the twisted state: the pair
+    coefficients A, B and sqrt(A^2+B^2), and the powers
+    c2 = cos^(N-2)(2a), x1 = cos^(N-1)(a) and cpow = cos^(2N-2)(a)."""
 
     a_coef: float
     b_coef: float
     hypot: float
+    c2: float
+    x1: float
+    cpow: float
 
 
 def oat_coefficients(n: int, alpha: float) -> OatCoefficients:
-    """A = 1 - cos^(N-2)(2a), B = 4 sin(a) cos^(N-2)(a); overflow-safe."""
+    """A = 1 - cos^(N-2)(2a), B = 4 sin(a) cos^(N-2)(a) and the powers
+    every closed form reads; overflow-safe."""
     if n < 2:
         raise NTooSmall(f"need at least 2 particles, got {n}")
-    a_coef = 1.0 - _signed_power(math.cos(2.0 * alpha), n - 2)
-    b_coef = 4.0 * math.sin(alpha) * _cos_pow(alpha, n - 2)
-    return OatCoefficients(a_coef, b_coef, math.hypot(a_coef, b_coef))
+    c2 = _signed_power(math.cos(2.0 * alpha), n - 2)
+    cos_a = math.cos(alpha)
+    a_coef = 1.0 - c2
+    b_coef = 4.0 * math.sin(alpha) * _signed_power(cos_a, n - 2)
+    return OatCoefficients(
+        a_coef,
+        b_coef,
+        math.hypot(a_coef, b_coef),
+        c2,
+        _signed_power(cos_a, n - 1),
+        _signed_power(cos_a, 2 * n - 2),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -117,31 +127,28 @@ def oat_coefficients(n: int, alpha: float) -> OatCoefficients:
 
 def _xi2_pure_raw(n: int, alpha: float) -> float:
     co = oat_coefficients(n, alpha)
-    den = _cos_pow(alpha, 2 * n - 2)
-    if den == 0.0:
+    if co.cpow == 0.0:
         return math.inf
-    return (1.0 - (n - 1) * (co.hypot - co.a_coef) / 4.0) / den
+    return (1.0 - (n - 1) * (co.hypot - co.a_coef) / 4.0) / co.cpow
 
 
-def _ab_terms(n: int, alpha: float) -> tuple[float, float]:
+def _ab_terms(n: int, co: OatCoefficients) -> tuple[float, float]:
     """The two eigenvalue-form candidates: transverse-plane minimum (a)
     and the mean-spin-axis entry (b)."""
-    co = oat_coefficients(n, alpha)
-    c2 = 1.0 - co.a_coef
+    c2 = 1.0 - co.a_coef  # not co.c2: the two can differ in the last bit
     a = 1.0 - (n - 1) * (co.hypot - co.a_coef) / 4.0
-    b = 1.0 + (n - 1) * ((1.0 + c2) / 2.0 - _cos_pow(alpha, 2 * n - 2))
+    b = 1.0 + (n - 1) * ((1.0 + c2) / 2.0 - co.cpow)
     return a, b
 
 
 def _xi2_prime_pure_raw(n: int, alpha: float, form: Form) -> float:
-    a, b = _ab_terms(n, alpha)
-    num = min(a, b)
+    co = oat_coefficients(n, alpha)
+    num = min(_ab_terms(n, co))
     if form is Form.EXACT:
         # any exchange-symmetric pure state has <J^2> = (N/2)(N/2+1), so
         # the normalization is exactly 1
         return num
-    c2 = _signed_power(math.cos(2.0 * alpha), n - 2)
-    return num / ((1.0 - 1.0 / n) * (1.0 + c2) / 2.0 + 1.0 / n)
+    return num / ((1.0 - 1.0 / n) * (1.0 + co.c2) / 2.0 + 1.0 / n)
 
 
 def xi2_oat(n: int, alpha: float) -> SqueezingValue:
@@ -165,8 +172,8 @@ def xi2_prime_oat(n: int, alpha: float, form: Form = Form.REFERENCE) -> Squeezin
 # the kappa -> xi^2 map
 #
 # Along a curve n and alpha are fixed and only kappa varies, so each
-# closed form is built once per (n, alpha, channel, definition, form):
-# the alpha-only powers are computed here, and the returned map takes a
+# closed form is built once per (n, alpha, channel, definition, form)
+# from one ``oat_coefficients`` record, and the returned map takes a
 # numpy array of kappa values through numpy expressions, elementwise.
 
 
@@ -200,35 +207,32 @@ def _zeta(n: int, co: OatCoefficients) -> Callable:
 
 
 def _reference_map(
-    n: int, alpha: float, co: OatCoefficients, kind: ChannelKind, definition: Definition
+    n: int, co: OatCoefficients, kind: ChannelKind, definition: Definition
 ) -> Callable:
     zeta = _zeta(n, co)
     if definition is Definition.XI:
-        cpow = _cos_pow(alpha, 2 * n - 2)
         if kind is ChannelKind.DEPHASING:
-            return lambda k: _div_or_inf(zeta(k), cpow)
+            return lambda k: _div_or_inf(zeta(k), co.cpow)
         if kind is ChannelKind.DEPOLARIZING:
-            return lambda k: _div_or_inf(zeta(k), k * k * cpow)
-        x1 = _cos_pow(alpha, n - 1)
+            return lambda k: _div_or_inf(zeta(k), k * k * co.cpow)
 
         def damped(k):
-            root = k * x1 + (1.0 - k)
+            root = k * co.x1 + (1.0 - k)
             return _div_or_inf(zeta(k), root * root)
 
         return damped
 
-    c2 = _signed_power(math.cos(2.0 * alpha), n - 2)
     frac, inv_n = 1.0 - 1.0 / n, 1.0 / n
     if kind is ChannelKind.DEPHASING:
 
         def dephased(k):
             k2 = k * k
-            return zeta(k) / (frac * (k2 + (1.0 - k2) * (1.0 + c2) / 2.0) + inv_n)
+            return zeta(k) / (frac * (k2 + (1.0 - k2) * (1.0 + co.c2) / 2.0) + inv_n)
 
         return dephased
     if kind is ChannelKind.DEPOLARIZING:
         return lambda k: zeta(k) / (frac * (k * k) + inv_n)
-    bracket = 1.0 - _cos_pow(alpha, n - 1) + (1.0 + c2) / 2.0
+    bracket = 1.0 - co.x1 + (1.0 + co.c2) / 2.0
 
     def damped_prime(k):
         den = 1.0 + frac * k * (1.0 - k) * bracket
@@ -252,7 +256,7 @@ def _contractions(kind: ChannelKind, kappa):
     return kappa, k2, k2 - 1.0
 
 
-def _moment_entries(n: int, co: OatCoefficients, x1: float, kind: ChannelKind, kappa):
+def _moment_entries(n: int, co: OatCoefficients, kind: ChannelKind, kappa):
     """Nonzero collective moments of the decohered twisted state:
     <J_x>, <J_z> and C_xx, C_yy, C_zz, C_yz, C_xz (<J_y> = C_xy = 0).
 
@@ -261,16 +265,16 @@ def _moment_entries(n: int, co: OatCoefficients, x1: float, kind: ChannelKind, k
     c = cos^(N-2)(2a)) contracted by the channel factors.
     """
     rp, rz, m = _contractions(kind, kappa)
-    c2 = 1.0 - co.a_coef
+    c2 = 1.0 - co.a_coef  # not co.c2: the two can differ in the last bit
     pair = n * (n - 1) / 4.0
     return (
-        0.5 * n * rp * x1,
+        0.5 * n * rp * co.x1,
         0.5 * n * m,
         n / 4.0 + pair * rp * rp * (1.0 + c2) / 2.0,
         n / 4.0 + pair * rp * rp * co.a_coef / 2.0,
         n / 4.0 + pair * m * m,
         pair * rp * rz * co.b_coef / 4.0,
-        pair * rp * m * x1,
+        pair * rp * m * co.x1,
     )
 
 
@@ -284,23 +288,18 @@ def decohered_moments(
     if n < 2:
         raise NTooSmall(f"need at least 2 particles, got {n}")
     kappa = _check_kappa(kappa)
-    jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(
-        n, oat_coefficients(n, alpha), _cos_pow(alpha, n - 1), kind, kappa
-    )
+    jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, oat_coefficients(n, alpha), kind, kappa)
     corr = np.array([[cxx, 0.0, cxz], [0.0, cyy, cyz], [cxz, cyz, czz]])
     return CollectiveMoments(n_particles=n, mean_spin=np.array([jx, 0.0, jz]), corr=corr)
 
 
-def _exact_map(
-    n: int, alpha: float, co: OatCoefficients, kind: ChannelKind, definition: Definition
-) -> Callable:
+def _exact_map(n: int, co: OatCoefficients, kind: ChannelKind, definition: Definition) -> Callable:
     """The moments route of ``xi2_from_moments``/``xi2_prime_from_moments``
     specialised to the decohered twisted state: the mean spin lies in the
     x-z plane and C_xy = 0, so xi needs one 2x2 and xi' one 3x3 solve."""
-    x1 = _cos_pow(alpha, n - 1)
 
     def xi(k):
-        jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, x1, kind, k)
+        jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, kind, k)
         mag = np.sqrt(jx * jx + jz * jz)
         vanishing = mag <= ZERO_MEAN_SPIN_TOL
         mag = np.where(vanishing, 1.0, mag)
@@ -312,7 +311,7 @@ def _exact_map(
         return np.where(vanishing, math.inf, n * lam / mag**2)
 
     def xi_prime(k):
-        jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, x1, kind, k)
+        jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, kind, k)
         den = cxx + cyy + czz - n / 2.0
         if _smallest(den) <= ZERO_MEAN_SPIN_TOL:
             raise DegenerateDenominator(
@@ -345,7 +344,7 @@ def _kappa_map(
     if n < 2:
         raise NTooSmall(f"need at least 2 particles, got {n}")
     build = _reference_map if form is Form.REFERENCE else _exact_map
-    return build(n, alpha, oat_coefficients(n, alpha), kind, definition)
+    return build(n, oat_coefficients(n, alpha), kind, definition)
 
 
 def channel_xi2(
@@ -361,60 +360,8 @@ def channel_xi2(
     return SqueezingValue(float(xi2(np.array([_check_kappa(kappa)]))[0]), definition)
 
 
-def xi2_dephased(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
-    return channel_xi2(n, alpha, kappa, ChannelKind.DEPHASING, Definition.XI, form)
-
-
-def xi2_depolarized(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
-    return channel_xi2(n, alpha, kappa, ChannelKind.DEPOLARIZING, Definition.XI, form)
-
-
-def xi2_damped(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
-    return channel_xi2(n, alpha, kappa, ChannelKind.DAMPING, Definition.XI, form)
-
-
-def xi2_prime_dephased(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
-    return channel_xi2(n, alpha, kappa, ChannelKind.DEPHASING, Definition.XI_PRIME, form)
-
-
-def xi2_prime_depolarized(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
-    return channel_xi2(n, alpha, kappa, ChannelKind.DEPOLARIZING, Definition.XI_PRIME, form)
-
-
-def xi2_prime_damped(n, alpha, kappa, form=Form.REFERENCE) -> SqueezingValue:
-    return channel_xi2(n, alpha, kappa, ChannelKind.DAMPING, Definition.XI_PRIME, form)
-
-
 # ---------------------------------------------------------------------------
-# directions, optimization, curves
-
-
-@dataclass(frozen=True)
-class SpinDirections:
-    """Mean spin direction and the orthogonal family n_perp(phi).
-
-    mean = (cos(dt - N a), sin(dt - N a), 0) for field strength delta and
-    time t; perp(phi) spans the plane orthogonal to it.
-    """
-
-    angle: float  # delta*t - N*alpha
-
-    @property
-    def mean(self) -> np.ndarray:
-        return np.array([math.cos(self.angle), math.sin(self.angle), 0.0])
-
-    def perp(self, phi: float) -> np.ndarray:
-        return np.array(
-            [
-                -math.cos(phi) * math.sin(self.angle),
-                math.cos(phi) * math.cos(self.angle),
-                math.sin(phi),
-            ]
-        )
-
-
-def spin_directions(n: int, alpha: float, delta: float = 0.0, t: float = 0.0) -> SpinDirections:
-    return SpinDirections(angle=delta * t - n * alpha)
+# optimization, curves
 
 
 def xi2_oat_curve(n: int, alphas: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from .kappa import (
 )
 from .model import (
     MAX_GRID_NODES,
+    MAX_PARTICLES,
     ChannelKind,
     Definition,
     EnsembleConfig,
@@ -169,16 +170,25 @@ def _build_model(args: argparse.Namespace) -> KappaModel:
     return _load_tabulated(args.kappa_file)
 
 
+def _check_n_cap(n: int, flag: str) -> None:
+    if n > MAX_PARTICLES:
+        raise ValidationError(
+            f"{flag} {n} exceeds {MAX_PARTICLES}: above it the closed forms lose digits"
+        )
+
+
 def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> EnsembleConfig:
     if args.n < 2:
         raise ValidationError("squeezing is undefined for fewer than 2 particles")
+    _check_n_cap(args.n, "--n")
     alpha = args.alpha
     if alpha is None:
         if args.n < 3:
             raise ValidationError("--alpha is required for N = 2 (no optimizer bracket)")
         alpha, _ = optimal_alpha(args.n)
     cfg = EnsembleConfig(n_particles=args.n, alpha=alpha, delta=delta)
-    validate_ensemble(cfg)
+    for warning in validate_ensemble(cfg).warnings:
+        print(f"warning: {warning.value} (alpha = {alpha!r})", file=sys.stderr)
     return cfg
 
 
@@ -248,6 +258,7 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
 def _cmd_alpha_scan(args: argparse.Namespace) -> int:
     if not (3 <= args.n_min < args.n_max):
         raise ValidationError("need 3 <= n-min < n-max")
+    _check_n_cap(args.n_max, "--n-max")
     if not 2 <= args.points <= MAX_GRID_NODES:
         raise ValidationError(f"need 2 <= points <= {MAX_GRID_NODES}")
     ns = np.unique(
@@ -334,9 +345,6 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except SqueezeDynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

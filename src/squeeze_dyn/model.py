@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +143,17 @@ class ReservoirConfig:
         _require_finite("eta0", self.eta0)
         if self.gamma <= 0 or self.eta0 <= 0:
             raise ValidationError("gamma and eta0 must both be positive")
+        # the regime formulas need the discriminant's products as normal
+        # floats: an underflow to 0 or an overflow to inf breaks the branch
+        # choice or makes kappa NaN
+        g, e = self.gamma, self.eta0
+        products = (("gamma^2", g * g), ("eta0*gamma", e * g), ("2*eta0*gamma", 2.0 * e * g))
+        for name, prod in products:
+            if not sys.float_info.min <= prod < math.inf:
+                raise ValidationError(
+                    f"{name} = {prod!r} is not a finite normal float "
+                    f"(gamma = {self.gamma!r}, eta0 = {self.eta0!r})"
+                )
 
     @property
     def discriminant(self) -> float:
@@ -213,6 +225,11 @@ class LindbladParams:
 #: most nodes a time grid or a death-time scan may have; a finer grid is
 #: rejected before anything is allocated, since it would exhaust memory
 MAX_GRID_NODES = 10**7
+
+#: largest particle number the CLI accepts; the closed forms' plain powers
+#: lose digits as N grows (pure xi^2 at the optimal angle is off by 6.5e-8
+#: relative at N = 10^5 and by 1.5e-3 at 10^7)
+MAX_PARTICLES = 10**5
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,14 +18,9 @@ from squeeze_dyn import (
     decohered_moments,
     oat_coefficients,
     optimal_alpha,
-    spin_directions,
     squeezing_curve,
-    xi2_damped,
-    xi2_dephased,
-    xi2_depolarized,
     xi2_from_moments,
     xi2_oat,
-    xi2_prime_depolarized,
     xi2_prime_from_moments,
     xi2_prime_oat,
 )
@@ -48,6 +44,35 @@ def test_oat_coefficients_two_particles():
 def test_oat_coefficients_requires_two_particles():
     with pytest.raises(NTooSmall):
         oat_coefficients(1, 0.1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 66, 67, 68, 100, 1000])
+def test_oat_coefficients_match_50_digit_values(n):
+    # alpha > pi/4 makes cos(2a) negative, so N = 67 takes the
+    # negative-base, odd-exponent branch of the log-space power
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    alphas = [0.05, 0.2, 0.7, 1.0, 1.3, 1.5] + ([optimal_alpha(n)[0]] if n >= 3 else [])
+    for alpha in alphas:
+        a = mp.mpf(alpha)
+        c2 = mp.cos(2 * a) ** (n - 2)
+        big_a, big_b = 1 - c2, 4 * mp.sin(a) * mp.cos(a) ** (n - 2)
+        want = {
+            "a_coef": big_a,
+            "b_coef": big_b,
+            "hypot": mp.sqrt(big_a**2 + big_b**2),
+            "c2": c2,
+            "x1": mp.cos(a) ** (n - 1),
+            "cpow": mp.cos(a) ** (2 * n - 2),
+        }
+        co = oat_coefficients(n, alpha)
+        for field, value in want.items():
+            got = getattr(co, field)
+            # a true value below the normal float range may underflow to 0
+            assert abs(mp.mpf(got) - value) <= 1e-12 * abs(value) + sys.float_info.min, (
+                field, alpha, got, value,
+            )
 
 
 def test_xi2_oat_baseline_is_exactly_one():
@@ -122,30 +147,32 @@ def test_kappa_one_reduces_to_pure_eigenvalue_form(kind):
 def test_dephased_kappa_zero_reference_value():
     # fully dephased: the reference form keeps the undamped normalization
     expected = 1.0 / math.cos(0.1) ** 18
-    assert xi2_dephased(10, 0.1, 0.0).value == pytest.approx(expected, rel=1e-14)
+    got = channel_xi2(10, 0.1, 0.0, ChannelKind.DEPHASING)
+    assert got.value == pytest.approx(expected, rel=1e-14)
     assert expected >= 1.0
 
 
 def test_damped_kappa_zero_is_coherent_state_baseline():
     for form in Form:
-        assert xi2_damped(10, 0.2, 0.0, form).value == pytest.approx(1.0, rel=1e-14)
+        got = channel_xi2(10, 0.2, 0.0, ChannelKind.DAMPING, Definition.XI, form)
+        assert got.value == pytest.approx(1.0, rel=1e-14)
 
 
 def test_depolarized_kappa_zero_diverges():
-    assert math.isinf(xi2_depolarized(10, 0.1, 0.0).value)
-    assert math.isinf(xi2_depolarized(10, 0.1, 0.0, Form.EXACT).value)
+    for form in Form:
+        got = channel_xi2(10, 0.1, 0.0, ChannelKind.DEPOLARIZING, Definition.XI, form)
+        assert math.isinf(got.value)
 
 
 def test_prime_depolarized_kappa_zero_equals_n():
     for form in Form:
-        assert xi2_prime_depolarized(10, 0.1, 0.0, form).value == pytest.approx(
-            10.0, rel=1e-12
-        )
+        got = channel_xi2(10, 0.1, 0.0, ChannelKind.DEPOLARIZING, Definition.XI_PRIME, form)
+        assert got.value == pytest.approx(10.0, rel=1e-12)
 
 
 def test_kappa_out_of_range_rejected():
     with pytest.raises(InvalidKappa):
-        xi2_dephased(4, 0.3, 1.5)
+        channel_xi2(4, 0.3, 1.5, ChannelKind.DEPHASING)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -182,24 +209,6 @@ def test_exact_forms_match_state_computation(kind, definition):
         ).value
         closed = channel_xi2(n, alpha, kappa, kind, definition, Form.EXACT).value
         assert closed == pytest.approx(oracle, abs=1e-8)
-
-
-def test_spin_directions_examples():
-    np.testing.assert_allclose(spin_directions(10, 0.0, 0.0, 5.0).mean, [1.0, 0.0, 0.0])
-    a = spin_directions(10, 0.1, 0.0, 0.0)
-    np.testing.assert_allclose(a.mean, [math.cos(1.0), -math.sin(1.0), 0.0], atol=1e-15)
-    # full field rotation is the identity
-    b = spin_directions(4, 0.3, 2 * math.pi, 1.0)
-    np.testing.assert_allclose(b.mean, spin_directions(4, 0.3, 0.0, 0.0).mean, atol=1e-12)
-
-
-def test_spin_directions_orthogonality():
-    dirs = spin_directions(7, 0.4, 1.1, 3.0)
-    assert np.linalg.norm(dirs.mean) == pytest.approx(1.0, rel=1e-15)
-    for phi in np.linspace(0, 2 * math.pi, 17):
-        perp = dirs.perp(phi)
-        assert abs(dirs.mean @ perp) < 1e-14
-        assert np.linalg.norm(perp) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_optimal_alpha_matches_brute_force():

@@ -469,3 +469,67 @@ def test_alpha_scan_csv_and_json_rows_agree(tmp_path):
     assert payload["kind"] == "alpha-scan" == parse_header(text)["kind"]
     assert payload["columns"] == lines[0].split(",") == ["n", "alpha_star", "xi_min"]
     assert payload["rows"] == [[float(x) for x in l.split(",")] for l in lines[1:]]
+
+
+def _refuse_optimizer(n, *args, **kwargs):
+    raise AssertionError(f"optimal_alpha({n}) ran before the N cap")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "--n", "1000000000", "--channel", "dephasing", "--t-max", "1", "--dt", "0.5"],
+        ["death-times", "--n", "100001", "--channel", "dephasing", "--t-max", "10"],
+        ["alpha-scan", "--n-min", "3", "--n-max", "1000000000000", "--points", "3"],
+    ],
+)
+def test_particle_numbers_above_the_cap_are_usage_errors(args, monkeypatch, capsys):
+    # the closed forms lose digits as N grows (1.5e-3 relative at 10^7),
+    # so the CLI refuses N above 10^5 before it optimizes or scans
+    monkeypatch.setattr("squeeze_dyn.cli.optimal_alpha", _refuse_optimizer)
+    assert run(args + ["--reproducible"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "100000" in err
+
+
+def test_particle_number_at_the_cap_is_accepted(tmp_path):
+    out = tmp_path / "c.csv"
+    args = [
+        "evolve", "--n", "100000", "--channel", "dephasing", "--t-max", "1", "--dt", "0.5",
+        "--reproducible", "--output", str(out),
+    ]
+    assert run(args) == 0
+    assert parse_header(out.read_text())["n"] == "100000"
+
+
+@pytest.mark.parametrize(
+    "command,gamma,eta0",
+    [
+        ("death-times", "1e-300", "1e-300"),
+        ("death-times", "1e200", "1e200"),
+        ("evolve", "1e200", "1e200"),
+    ],
+)
+def test_reservoirs_outside_the_normal_float_range_are_usage_errors(
+    command, gamma, eta0, capsys
+):
+    args = [
+        command, "--n", "10", "--channel", "dephasing", "--kappa", "lorentzian",
+        "--gamma", gamma, "--eta0", eta0, "--t-max", "10", "--reproducible",
+    ]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "normal float" in err
+
+
+def test_ensemble_warnings_reach_stderr(capsys):
+    args = [
+        "evolve", "--n", "10", "--channel", "dephasing", "--t-max", "1", "--dt", "0.5",
+        "--reproducible",
+    ]
+    assert run(args + ["--alpha", "2.0"]) == 0
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["warning: outside-squeezed-regime (alpha = 2.0)"]
+    assert out.startswith("#") and "warning" not in out
+    assert run(args + ["--alpha", "0.2"]) == 0
+    assert capsys.readouterr().err == ""

@@ -79,6 +79,22 @@ def test_reservoir_rejects_nonpositive():
         ReservoirConfig(gamma=0.1, eta0=-1.0)
 
 
+@pytest.mark.parametrize(
+    "gamma,eta0",
+    [(1e-300, 1e-300), (1e-154, 1.0), (1.0, 1e-320), (1e200, 1e200), (1.0, 1e308)],
+)
+def test_reservoir_rejects_products_outside_the_normal_floats(gamma, eta0):
+    # gamma^2 or eta0*gamma underflowing sent kappa into a division by
+    # zero; overflow made the discriminant raise or kappa NaN
+    with pytest.raises(ValidationError, match="normal float"):
+        ReservoirConfig(gamma, eta0)
+
+
+def test_reservoir_accepts_small_normal_products():
+    res = ReservoirConfig(1e-150, 1e-150)
+    assert res.discriminant == pytest.approx(1e-300, rel=1e-12)
+
+
 def test_reservoir_correlation_time():
     assert ReservoirConfig(0.01, 10.0).correlation_time == pytest.approx(100.0)
 
