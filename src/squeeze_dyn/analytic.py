@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Mapping
+from typing import IO, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -88,11 +88,14 @@ def _signed_power(base: float, expo: int) -> float:
     return -val if (base < 0.0 and expo % 2) else val
 
 
-@dataclass(frozen=True)
-class OatCoefficients:
+class OatCoefficients(NamedTuple):
     """The alpha-only quantities of the twisted state: the pair
     coefficients A, B and sqrt(A^2+B^2), and the powers
-    c2 = cos^(N-2)(2a), x1 = cos^(N-1)(a) and cpow = cos^(2N-2)(a)."""
+    c2 = cos^(N-2)(2a), x1 = cos^(N-1)(a) and cpow = cos^(2N-2)(a).
+
+    A named tuple, not a frozen dataclass: ``optimal_alpha`` builds one per
+    golden-section step, and a frozen dataclass's ``__init__`` costs about
+    three times the tuple's and would be half the objective's cost."""
 
     a_coef: float
     b_coef: float
