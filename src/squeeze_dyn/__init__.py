@@ -48,7 +48,6 @@ from .model import (
     LindbladParams,
     Regime,
     ReservoirConfig,
-    SqueezingValue,
     TimeGrid,
     reservoir_regime,
     validate_ensemble,
@@ -81,7 +80,6 @@ __all__ = [
     "LindbladParams",
     "Regime",
     "ReservoirConfig",
-    "SqueezingValue",
     "TimeGrid",
     "reservoir_regime",
     "validate_ensemble",

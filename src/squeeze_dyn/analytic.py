@@ -50,7 +50,7 @@ from ._format import write_csv
 from ._smalleig import min_eig_sym2, min_eig_sym3_entries
 from .errors import DegenerateDenominator, InvalidKappa, NTooSmall
 from .kappa import KappaModel, kappa_markovian
-from .model import ChannelKind, Definition, EnsembleConfig, SqueezingValue, TimeGrid
+from .model import ChannelKind, Definition, EnsembleConfig, TimeGrid
 from .moments import ZERO_MEAN_SPIN_TOL, CollectiveMoments
 
 __all__ = [
@@ -128,47 +128,33 @@ def oat_coefficients(n: int, alpha: float) -> OatCoefficients:
 # pure-state forms
 
 
-def _xi2_pure_raw(n: int, alpha: float) -> float:
+def xi2_oat(n: int, alpha: float) -> float:
+    """Variance-form parameter of the pure twisted state (exact); +inf
+    where cos^(2N-2)(alpha) vanishes."""
     co = oat_coefficients(n, alpha)
     if co.cpow == 0.0:
         return math.inf
     return (1.0 - (n - 1) * (co.hypot - co.a_coef) / 4.0) / co.cpow
 
 
-def _ab_terms(n: int, co: OatCoefficients) -> tuple[float, float]:
-    """The two eigenvalue-form candidates: transverse-plane minimum (a)
-    and the mean-spin-axis entry (b)."""
-    c2 = 1.0 - co.a_coef  # not co.c2: the two can differ in the last bit
-    a = 1.0 - (n - 1) * (co.hypot - co.a_coef) / 4.0
-    b = 1.0 + (n - 1) * ((1.0 + c2) / 2.0 - co.cpow)
-    return a, b
-
-
-def _xi2_prime_pure_raw(n: int, alpha: float, form: Form) -> float:
-    co = oat_coefficients(n, alpha)
-    num = min(_ab_terms(n, co))
-    if form is Form.EXACT:
-        # any exchange-symmetric pure state has <J^2> = (N/2)(N/2+1), so
-        # the normalization is exactly 1
-        return num
-    return num / ((1.0 - 1.0 / n) * (1.0 + co.c2) / 2.0 + 1.0 / n)
-
-
-def xi2_oat(n: int, alpha: float) -> SqueezingValue:
-    """Variance-form parameter of the pure twisted state (exact)."""
-    return SqueezingValue(_xi2_pure_raw(n, alpha), Definition.XI)
-
-
-def xi2_prime_oat(n: int, alpha: float, form: Form = Form.REFERENCE) -> SqueezingValue:
-    """Eigenvalue-form parameter of the pure twisted state.
+def xi2_prime_oat(n: int, alpha: float, form: Form = Form.REFERENCE) -> float:
+    """Eigenvalue-form parameter of the pure twisted state: the smaller of
+    the transverse-plane minimum and the mean-spin-axis entry, over the
+    normalization <J^2> - N/2.
 
     The REFERENCE denominator (1-1/N)(1+cos^(N-2)2a)/2 + 1/N is the
     commonly quoted one; the EXACT normalization is 1 because symmetric
     pure states satisfy <J^2> = (N/2)(N/2+1). The two coincide for N = 2.
     """
-    if n < 2:
-        raise NTooSmall(f"need at least 2 particles, got {n}")
-    return SqueezingValue(_xi2_prime_pure_raw(n, alpha, form), Definition.XI_PRIME)
+    co = oat_coefficients(n, alpha)
+    c2 = 1.0 - co.a_coef  # not co.c2: the two can differ in the last bit
+    num = min(
+        1.0 - (n - 1) * (co.hypot - co.a_coef) / 4.0,
+        1.0 + (n - 1) * ((1.0 + c2) / 2.0 - co.cpow),
+    )
+    if form is Form.EXACT:
+        return num
+    return num / ((1.0 - 1.0 / n) * (1.0 + co.c2) / 2.0 + 1.0 / n)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +343,11 @@ def channel_xi2(
     kind: ChannelKind,
     definition: Definition = Definition.XI,
     form: Form = Form.REFERENCE,
-) -> SqueezingValue:
-    """Decohered squeezing parameter for any channel/definition/form."""
+) -> float:
+    """Decohered squeezing parameter for any channel/definition/form;
+    +inf where the variance form diverges."""
     xi2 = _kappa_map(n, alpha, kind, definition, form)
-    return SqueezingValue(float(xi2(np.array([_check_kappa(kappa)]))[0]), definition)
+    return float(xi2(np.array([_check_kappa(kappa)]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +419,7 @@ def optimal_alpha(n: int, xatol: float = 1e-10) -> tuple[float, float]:
     # the optimum falls below the first node), so bracket to the domain edge
     lo = grid[i - 1] if i > 0 else 0.0
     hi = grid[i + 1] if i + 1 < len(grid) else math.pi / 2.0
-    alpha_star, best = _golden_min(lambda a: _xi2_pure_raw(n, a), lo, hi, xatol)
+    alpha_star, best = _golden_min(lambda a: xi2_oat(n, a), lo, hi, xatol)
     return alpha_star, math.sqrt(best)
 
 

@@ -187,7 +187,7 @@ def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> EnsembleCon
             raise ValidationError("--alpha is required for N = 2 (no optimizer bracket)")
         alpha, _ = optimal_alpha(args.n)
     cfg = EnsembleConfig(n_particles=args.n, alpha=alpha, delta=delta)
-    for warning in validate_ensemble(cfg).warnings:
+    for warning in validate_ensemble(cfg):
         print(f"warning: {warning.value} (alpha = {alpha!r})", file=sys.stderr)
     return cfg
 

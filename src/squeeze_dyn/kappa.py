@@ -38,7 +38,7 @@ from .errors import (
     StepTooLarge,
     ValidationError,
 )
-from .model import Regime, ReservoirConfig, TimeGrid, reservoir_regime
+from .model import MAX_GRID_NODES, Regime, ReservoirConfig, TimeGrid, reservoir_regime
 
 __all__ = [
     "KappaModel",
@@ -108,20 +108,33 @@ def kappa_zeros(res: ReservoirConfig, horizon: float) -> list[float]:
 
     Only the strong-coupling regime oscillates; the roots are
     t_k = (2/d) (k*pi + pi - arctan(d/gamma)) with exact spacing 2*pi/d.
+    A non-finite horizon, or one holding more than ``MAX_GRID_NODES``
+    zeros, raises ``ValidationError`` before any zero is listed.
     """
     regime, d = reservoir_regime(res)
     if regime is not Regime.STRONG:
         raise NotOscillatory(f"kappa has no zeros in the {regime.value} regime")
-    zeros: list[float] = []
+    if not math.isfinite(horizon):
+        raise ValidationError(f"horizon must be finite, got {horizon!r}")
     base = math.pi - math.atan2(d, res.gamma)
-    k = 0
-    while True:
-        t_k = (2.0 / d) * (k * math.pi + base)
-        if t_k > horizon:
-            break
-        zeros.append(t_k)
-        k += 1
-    return zeros
+
+    def zero(k: int) -> float:
+        return (2.0 / d) * (k * math.pi + base)
+
+    # count the zeros before listing any: the estimate is off by rounding
+    # at most, and zero(k) is nondecreasing in k, so the two corrections
+    # make the count exact up to the cap
+    estimate = (horizon * d / 2.0 - base) / math.pi + 1.0
+    count = int(min(max(estimate, 0.0), MAX_GRID_NODES + 1))
+    while count <= MAX_GRID_NODES and zero(count) <= horizon:
+        count += 1
+    while count > 0 and zero(count - 1) > horizon:
+        count -= 1
+    if count > MAX_GRID_NODES:
+        raise ValidationError(
+            f"horizon {horizon!r} holds more than {MAX_GRID_NODES} zeros of kappa"
+        )
+    return [zero(k) for k in range(count)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ class ChannelKind(enum.Enum):
 
 
 class Definition(enum.Enum):
-    """Which squeezing parameter a value refers to.
+    """Which squeezing parameter to compute.
 
     XI is the variance form N (dJ_perp)^2_min / |<J>|^2; XI_PRIME is the
     eigenvalue form lambda_min(Gamma) / (<J^2> - N/2) with
@@ -54,26 +54,6 @@ class EnsembleWarning(enum.Enum):
     OUTSIDE_SQUEEZED_REGIME = "outside-squeezed-regime"  # alpha not in (0, pi/2)
 
 
-@dataclass(frozen=True)
-class SqueezingValue:
-    """A squeezing-parameter value tagged with its definition.
-
-    ``value`` may be ``math.inf``: divergent denominators (vanishing mean
-    spin, cos(alpha) = 0) are tagged rather than raised so that curve
-    emission can plot them.
-    """
-
-    value: float
-    definition: Definition
-
-    @property
-    def squeezed(self) -> bool:
-        return self.value < 1.0
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _require_finite(name: str, x: float) -> float:
     if not math.isfinite(x):
         raise NonFiniteParameter(f"{name} must be finite, got {x!r}")
@@ -94,14 +74,8 @@ class EnsembleConfig:
     delta: float = 0.0
 
 
-@dataclass(frozen=True)
-class ValidatedEnsemble:
-    config: EnsembleConfig
-    warnings: tuple[EnsembleWarning, ...] = ()
-
-
-def validate_ensemble(cfg: EnsembleConfig) -> ValidatedEnsemble:
-    """Check invariants and flag degenerate twisting angles.
+def validate_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleWarning, ...]:
+    """Check invariants and return the degenerate-angle warnings.
 
     Angles outside (0, pi/2) are accepted: the closed forms stay
     evaluable and the endpoints (product state at m*pi, graph state at
@@ -123,7 +97,7 @@ def validate_ensemble(cfg: EnsembleConfig) -> ValidatedEnsemble:
             warns.append(EnsembleWarning.GRAPH_STATE)
     if not (0.0 < cfg.alpha < math.pi / 2) and not warns:
         warns.append(EnsembleWarning.OUTSIDE_SQUEEZED_REGIME)
-    return ValidatedEnsemble(cfg, tuple(warns))
+    return tuple(warns)
 
 
 @dataclass(frozen=True)

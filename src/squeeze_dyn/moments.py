@@ -8,13 +8,13 @@ below are the shared final step. J = sum_j S_j with S = sigma/2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._smalleig import min_eig_sym2, min_eig_sym3
 from .errors import DegenerateDenominator
-from .model import Definition, SqueezingValue
 
 #: below this mean-spin norm the variance form is tagged divergent
 ZERO_MEAN_SPIN_TOL = 1e-12
@@ -53,27 +53,29 @@ def _perp_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e1, np.cross(n, e1)
 
 
-def xi2_from_moments(m: CollectiveMoments) -> SqueezingValue:
+def xi2_from_moments(m: CollectiveMoments) -> float:
     """Variance-form parameter: N * lambda_min(P) / |<J>|^2.
 
     P is the 2x2 restriction of C to the plane orthogonal to the mean
     spin direction; its smaller eigenvalue is the minimum over in-plane
     directions of the spin variance (the mean has no component there, so
-    second moment and variance coincide). A vanishing mean spin is tagged
-    as +inf rather than raised.
+    second moment and variance coincide).
+
+    A vanishing mean spin gives +inf, not an exception: a divergent
+    denominator is a value that curve emission can plot.
     """
     mag = float(np.linalg.norm(m.mean_spin))
     if mag <= ZERO_MEAN_SPIN_TOL:
-        return SqueezingValue(float("inf"), Definition.XI)
+        return math.inf
     e1, e2 = _perp_frame(m.mean_spin / mag)
     p11 = float(e1 @ m.corr @ e1)
     p22 = float(e2 @ m.corr @ e2)
     p12 = float(e1 @ m.corr @ e2)
     lam = float(min_eig_sym2(p11, p12, p22))
-    return SqueezingValue(m.n_particles * lam / mag**2, Definition.XI)
+    return m.n_particles * lam / mag**2
 
 
-def xi2_prime_from_moments(m: CollectiveMoments) -> SqueezingValue:
+def xi2_prime_from_moments(m: CollectiveMoments) -> float:
     """Eigenvalue-form parameter: lambda_min(Gamma) / (<J^2> - N/2)."""
     den = m.j_squared - m.n_particles / 2.0
     if den <= ZERO_MEAN_SPIN_TOL:
@@ -81,4 +83,4 @@ def xi2_prime_from_moments(m: CollectiveMoments) -> SqueezingValue:
             f"<J^2> - N/2 = {den} is not positive; the eigenvalue form is undefined"
         )
     lam = min_eig_sym3(m.gamma_matrix)
-    return SqueezingValue(lam / den, Definition.XI_PRIME)
+    return lam / den

@@ -16,8 +16,10 @@ trace, and every map here is linear: decohering the 2x2 and 4x4 sums of
 the pure state with ``apply_channel`` (which acts as Phi and Phi (x) Phi
 on them) gives the moments of the decohered N-qubit state without
 building its 4^N density matrix. ``apply_channel`` and
-``collective_moments`` also take full density matrices, which the tests
-use at small N to cross-check this route.
+``collective_moments`` also take full density matrices and must keep
+doing so: the tests cross-check this route with them at small N, and
+the benchmark's ``curves`` check (``perfbench/checks.py``) calls them on
+the N = 10 density matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import (
     StepInstability,
     ValidationError,
 )
-from .model import ChannelKind, LindbladParams, SqueezingValue
+from .model import MAX_GRID_NODES, ChannelKind, LindbladParams
 from .moments import CollectiveMoments, xi2_from_moments, xi2_prime_from_moments
 
 __all__ = [
@@ -233,11 +235,11 @@ def collective_moments(state: np.ndarray, n: int | None = None) -> CollectiveMom
     return moments_from_reduced(*reduced_sums(state, n), n)
 
 
-def xi2_from_state(state: np.ndarray, n: int | None = None) -> SqueezingValue:
+def xi2_from_state(state: np.ndarray, n: int | None = None) -> float:
     return xi2_from_moments(collective_moments(state, n))
 
 
-def xi2_prime_from_state(state: np.ndarray, n: int | None = None) -> SqueezingValue:
+def xi2_prime_from_state(state: np.ndarray, n: int | None = None) -> float:
     return xi2_prime_from_moments(collective_moments(state, n))
 
 
@@ -316,16 +318,24 @@ def integrate_single_qubit_generator(
     and returned in the same shape. ``rate_scale`` makes the generator
     time-local: both b and c are multiplied by rate_scale(t), which may go
     negative over intervals (information backflow). The default step is
-    1e-3 / max(b, c, |delta|). Raises StepInstability if the trace of any
-    matrix drifts from 1 by more than 1e-8.
+    1e-3 / max(b, c, |delta|). A t that is not finite and nonnegative, a
+    step that is not finite and positive, or more than ``MAX_GRID_NODES``
+    steps raises ``ValidationError`` before any step. Raises
+    StepInstability if the trace of any matrix drifts from 1 by more than
+    1e-8.
     """
-    if t < 0:
-        raise ValidationError("t must be nonnegative")
+    if not (math.isfinite(t) and t >= 0):
+        raise ValidationError(f"t must be finite and nonnegative, got {t!r}")
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise ValidationError(f"step must be finite and positive, got {step!r}")
     chi = chi0.astype(complex, copy=True)
     if t == 0.0:
         return chi
     scale_max = max(params.b, params.c, abs(delta), 1e-12)
     h = step if step is not None else 1e-3 / scale_max
+    # the ratio test also catches a step so small that t / h overflows
+    if not t / h <= MAX_GRID_NODES:
+        raise ValidationError(f"t = {t!r} at step {h!r} needs more than {MAX_GRID_NODES} steps")
     n_steps = max(1, int(math.ceil(t / h)))
     h = t / n_steps
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._format import SCHEMA
-from .analytic import Form, _kappa_map, _xi2_pure_raw
+from .analytic import Form, _kappa_map, xi2_oat
 from .errors import ValidationError
 from .model import ChannelKind, Definition, LindbladParams
 from .oracle import (
@@ -226,8 +226,8 @@ def _ensemble_cases(
                 apply_channel(one, kind, kappa), apply_channel(pair, kind, kappa), n
             )
             oracle.append({
-                Definition.XI: xi2_from_moments(mom).value,
-                Definition.XI_PRIME: xi2_prime_from_moments(mom).value,
+                Definition.XI: xi2_from_moments(mom),
+                Definition.XI_PRIME: xi2_prime_from_moments(mom),
             })
         # apply_channel has rejected any |kappa| > 1 above; each closed form
         # takes every kappa in one array call
@@ -279,7 +279,7 @@ def run_verification(
         for alpha in alphas:
             closed = 1.0 / (1.0 + math.sin(alpha))
             report.reduction_deltas.append(
-                {"alpha": alpha, "delta": abs(_xi2_pure_raw(2, alpha) - closed)}
+                {"alpha": alpha, "delta": abs(xi2_oat(2, alpha) - closed)}
             )
 
     if include_generator:

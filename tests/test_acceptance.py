@@ -262,13 +262,13 @@ def test_criterion_8_invariance_suite():
     unsqueezed baseline, and complete positivity on random densities."""
     # field-rotation invariance of both parameters
     psi = build_oat_state(4, 0.3)
-    base_xi = xi2_from_state(psi).value
-    base_xip = xi2_prime_from_state(psi).value
+    base_xi = xi2_from_state(psi)
+    base_xip = xi2_prime_from_state(psi)
     rot_dev = 0.0
     for delta_t in (0.9, 2.7):
         rotated = apply_field_rotation(psi, 1.0, delta_t)
-        rot_dev = max(rot_dev, abs(xi2_from_state(rotated).value - base_xi))
-        rot_dev = max(rot_dev, abs(xi2_prime_from_state(rotated).value - base_xip))
+        rot_dev = max(rot_dev, abs(xi2_from_state(rotated) - base_xi))
+        rot_dev = max(rot_dev, abs(xi2_prime_from_state(rotated) - base_xip))
     assert rot_dev <= 1e-12
 
     # kappa = 1 is the identity channel
@@ -283,8 +283,8 @@ def test_criterion_8_invariance_suite():
 
     # unsqueezed baseline, exactly
     for n in (2, 5, 10):
-        assert xi2_oat(n, 0.0).value == 1.0
-        assert xi2_prime_oat(n, 0.0, Form.EXACT).value == 1.0
+        assert xi2_oat(n, 0.0) == 1.0
+        assert xi2_prime_oat(n, 0.0, Form.EXACT) == 1.0
 
     # complete positivity of channel outputs on 1000 random densities
     min_eig = math.inf

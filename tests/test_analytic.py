@@ -20,8 +20,10 @@ from squeeze_dyn import (
     optimal_alpha,
     squeezing_curve,
     xi2_from_moments,
+    xi2_from_state,
     xi2_oat,
     xi2_prime_from_moments,
+    xi2_prime_from_state,
     xi2_prime_oat,
 )
 from squeeze_dyn.analytic import _kappa_map, _zeta, xi2_oat_curve
@@ -77,15 +79,15 @@ def test_oat_coefficients_match_50_digit_values(n):
 
 def test_xi2_oat_baseline_is_exactly_one():
     for n in (2, 5, 10, 100):
-        assert xi2_oat(n, 0.0).value == 1.0
-        assert xi2_prime_oat(n, 0.0).value == 1.0
-        assert xi2_prime_oat(n, 0.0, Form.EXACT).value == 1.0
+        assert xi2_oat(n, 0.0) == 1.0
+        assert xi2_prime_oat(n, 0.0) == 1.0
+        assert xi2_prime_oat(n, 0.0, Form.EXACT) == 1.0
 
 
 def test_xi2_oat_two_particle_closed_form():
-    assert xi2_oat(2, PI_6).value == pytest.approx(2.0 / 3.0, rel=1e-14)
+    assert xi2_oat(2, PI_6) == pytest.approx(2.0 / 3.0, rel=1e-14)
     for alpha in np.linspace(0.01, 1.5, 40):
-        assert xi2_oat(2, alpha).value == pytest.approx(
+        assert xi2_oat(2, alpha) == pytest.approx(
             1.0 / (1.0 + math.sin(alpha)), rel=1e-14
         )
 
@@ -93,27 +95,40 @@ def test_xi2_oat_two_particle_closed_form():
 def test_xi2_oat_divergence_tagged_at_cos_zero():
     # float cos(pi/2) is ~6e-17, so the denominator only reaches exact
     # zero once the power underflows; the value is tagged, not raised
-    assert xi2_oat(4, math.pi / 2).value > 1e90
-    assert math.isinf(xi2_oat(200, math.pi / 2).value)
+    assert xi2_oat(4, math.pi / 2) > 1e90
+    assert math.isinf(xi2_oat(200, math.pi / 2))
 
 
 def test_xi2_prime_oat_two_particles_both_forms():
     # at N=2 the reference normalization is identically 1
-    assert xi2_prime_oat(2, PI_6).value == pytest.approx(0.5, rel=1e-14)
-    assert xi2_prime_oat(2, PI_6, Form.EXACT).value == pytest.approx(0.5, rel=1e-14)
+    assert xi2_prime_oat(2, PI_6) == pytest.approx(0.5, rel=1e-14)
+    assert xi2_prime_oat(2, PI_6, Form.EXACT) == pytest.approx(0.5, rel=1e-14)
 
 
 def test_xi2_prime_exact_matches_state_computation():
     psi = build_oat_state(4, 0.3)
-    oracle = xi2_prime_from_moments(collective_moments(psi)).value
-    assert xi2_prime_oat(4, 0.3, Form.EXACT).value == pytest.approx(oracle, abs=1e-10)
+    oracle = xi2_prime_from_moments(collective_moments(psi))
+    assert xi2_prime_oat(4, 0.3, Form.EXACT) == pytest.approx(oracle, abs=1e-10)
 
 
-def test_squeezing_value_metadata():
-    v = xi2_oat(10, 0.2)
-    assert v.definition is Definition.XI
-    assert v.squeezed
-    assert float(v) == v.value
+def test_squeezing_functions_return_floats():
+    psi = build_oat_state(4, 0.3)
+    mixed = collective_moments(np.eye(2**3, dtype=complex) / 2**3)
+    values = {
+        "xi2_oat": xi2_oat(10, 0.2),
+        "xi2_prime_oat reference": xi2_prime_oat(10, 0.2, Form.REFERENCE),
+        "xi2_prime_oat exact": xi2_prime_oat(10, 0.2, Form.EXACT),
+        "channel_xi2": channel_xi2(10, 0.1, 0.0, ChannelKind.DEPOLARIZING, Definition.XI),
+        "xi2_from_moments": xi2_from_moments(mixed),
+        "xi2_prime_from_moments": xi2_prime_from_moments(mixed),
+        "xi2_from_state": xi2_from_state(psi),
+        "xi2_prime_from_state": xi2_prime_from_state(psi),
+    }
+    for name, value in values.items():
+        assert type(value) is float, name
+    # divergences are +inf values, not exceptions
+    assert values["channel_xi2"] == math.inf
+    assert values["xi2_from_moments"] == math.inf
 
 
 def test_zeta_reduces_to_pure_numerator_at_kappa_one():
@@ -128,8 +143,8 @@ def test_zeta_reduces_to_pure_numerator_at_kappa_one():
 @pytest.mark.parametrize("form", list(Form))
 def test_kappa_one_reduces_to_pure_variance_form(kind, form):
     for n, alpha in [(4, 0.3), (10, 0.2), (6, 0.5)]:
-        dec = channel_xi2(n, alpha, 1.0, kind, Definition.XI, form).value
-        assert dec == pytest.approx(xi2_oat(n, alpha).value, rel=1e-14)
+        dec = channel_xi2(n, alpha, 1.0, kind, Definition.XI, form)
+        assert dec == pytest.approx(xi2_oat(n, alpha), rel=1e-14)
 
 
 @pytest.mark.parametrize("kind", list(ChannelKind))
@@ -138,9 +153,9 @@ def test_kappa_one_reduces_to_pure_eigenvalue_form(kind):
     # on the exact pure value min(a, b) (the reference pure expression
     # carries its own, different normalization)
     for n, alpha in [(4, 0.3), (10, 0.2)]:
-        pure_exact = xi2_prime_oat(n, alpha, Form.EXACT).value
+        pure_exact = xi2_prime_oat(n, alpha, Form.EXACT)
         for form in Form:
-            dec = channel_xi2(n, alpha, 1.0, kind, Definition.XI_PRIME, form).value
+            dec = channel_xi2(n, alpha, 1.0, kind, Definition.XI_PRIME, form)
             assert dec == pytest.approx(pure_exact, rel=1e-14)
 
 
@@ -148,26 +163,26 @@ def test_dephased_kappa_zero_reference_value():
     # fully dephased: the reference form keeps the undamped normalization
     expected = 1.0 / math.cos(0.1) ** 18
     got = channel_xi2(10, 0.1, 0.0, ChannelKind.DEPHASING)
-    assert got.value == pytest.approx(expected, rel=1e-14)
+    assert got == pytest.approx(expected, rel=1e-14)
     assert expected >= 1.0
 
 
 def test_damped_kappa_zero_is_coherent_state_baseline():
     for form in Form:
         got = channel_xi2(10, 0.2, 0.0, ChannelKind.DAMPING, Definition.XI, form)
-        assert got.value == pytest.approx(1.0, rel=1e-14)
+        assert got == pytest.approx(1.0, rel=1e-14)
 
 
 def test_depolarized_kappa_zero_diverges():
     for form in Form:
         got = channel_xi2(10, 0.1, 0.0, ChannelKind.DEPOLARIZING, Definition.XI, form)
-        assert math.isinf(got.value)
+        assert math.isinf(got)
 
 
 def test_prime_depolarized_kappa_zero_equals_n():
     for form in Form:
         got = channel_xi2(10, 0.1, 0.0, ChannelKind.DEPOLARIZING, Definition.XI_PRIME, form)
-        assert got.value == pytest.approx(10.0, rel=1e-12)
+        assert got == pytest.approx(10.0, rel=1e-12)
 
 
 def test_kappa_out_of_range_rejected():
@@ -179,8 +194,8 @@ def test_kappa_out_of_range_rejected():
 @pytest.mark.parametrize("definition", list(Definition))
 def test_exact_forms_even_in_kappa(kind, definition):
     for kappa in (0.25, 0.6, 0.93):
-        plus = channel_xi2(5, 0.35, kappa, kind, definition, Form.EXACT).value
-        minus = channel_xi2(5, 0.35, -kappa, kind, definition, Form.EXACT).value
+        plus = channel_xi2(5, 0.35, kappa, kind, definition, Form.EXACT)
+        minus = channel_xi2(5, 0.35, -kappa, kind, definition, Form.EXACT)
         assert plus == pytest.approx(minus, rel=1e-12)
 
 
@@ -206,8 +221,8 @@ def test_exact_forms_match_state_computation(kind, definition):
         m = collective_moments(rho)
         oracle = (
             xi2_from_moments(m) if definition is Definition.XI else xi2_prime_from_moments(m)
-        ).value
-        closed = channel_xi2(n, alpha, kappa, kind, definition, Form.EXACT).value
+        )
+        closed = channel_xi2(n, alpha, kappa, kind, definition, Form.EXACT)
         assert closed == pytest.approx(oracle, abs=1e-8)
 
 
@@ -248,7 +263,7 @@ def test_large_n_evaluation_is_stable():
     alpha_star, xi_min = optimal_alpha(100_000)
     assert 0 < alpha_star < 0.01
     assert 0 < xi_min < 0.1
-    assert math.isfinite(xi2_oat(100_000, alpha_star).value)
+    assert math.isfinite(xi2_oat(100_000, alpha_star))
 
 
 def test_squeezing_curve_from_solver_output_matches_closed_form():
@@ -311,7 +326,7 @@ def _map_alpha(n):
 
 def _per_node(n, alpha, kappas, kind, definition, form):
     return np.array(
-        [channel_xi2(n, alpha, float(k), kind, definition, form).value for k in kappas]
+        [channel_xi2(n, alpha, float(k), kind, definition, form) for k in kappas]
     )
 
 
@@ -364,7 +379,7 @@ def test_exact_map_matches_moments_route(kind, definition):
         got = _kappa_map(n, alpha, kind, definition, Form.EXACT)(MAP_KAPPAS)
         to_xi2 = xi2_from_moments if definition is Definition.XI else xi2_prime_from_moments
         want = np.array(
-            [to_xi2(decohered_moments(n, alpha, kind, float(k))).value for k in MAP_KAPPAS]
+            [to_xi2(decohered_moments(n, alpha, kind, float(k))) for k in MAP_KAPPAS]
         )
         np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
         finite = np.isfinite(want)
@@ -392,5 +407,5 @@ def test_kappa_map_keeps_array_shape():
 def test_channel_xi2_value_is_a_float():
     for form in Form:
         for definition in Definition:
-            value = channel_xi2(10, 0.2, 0.5, ChannelKind.DAMPING, definition, form).value
+            value = channel_xi2(10, 0.2, 0.5, ChannelKind.DAMPING, definition, form)
             assert type(value) is float

@@ -25,6 +25,7 @@ from squeeze_dyn.errors import (
 )
 from squeeze_dyn import kappa as kappa_module
 from squeeze_dyn.kappa import _BLOCK, _lorentzian_value, _solve_general
+from squeeze_dyn.model import MAX_GRID_NODES
 
 STRONG = ReservoirConfig(gamma=0.01, eta0=10.0)
 WEAK = ReservoirConfig(gamma=0.01, eta0=0.001)
@@ -119,6 +120,43 @@ def test_kappa_zeros_short_horizon_empty():
     zeros = kappa_zeros(STRONG, horizon=7.1266 / 2)
     assert zeros == []
 
+
+
+def _zeros_by_loop(res, horizon):
+    # reference: step k up until the zero passes the horizon
+    d = math.sqrt(res.discriminant)
+    base = math.pi - math.atan2(d, res.gamma)
+    zeros, k = [], 0
+    while (2.0 / d) * (k * math.pi + base) <= horizon:
+        zeros.append((2.0 / d) * (k * math.pi + base))
+        k += 1
+    return zeros
+
+
+def test_kappa_zeros_match_loop_bit_for_bit():
+    d = math.sqrt(STRONG.discriminant)
+    base = math.pi - math.atan2(d, STRONG.gamma)
+    on_zero = [(2.0 / d) * (k * math.pi + base) for k in (0, 1, 7, 300)]
+    horizons = [0.0, 1.0, 50.0, 300.0, 12345.678]
+    horizons += on_zero + [math.nextafter(t, -math.inf) for t in on_zero]
+    for horizon in horizons:
+        assert kappa_zeros(STRONG, horizon) == _zeros_by_loop(STRONG, horizon)
+    assert kappa_zeros(STRONG, on_zero[2])[-1] == on_zero[2]
+
+
+def test_kappa_zeros_rejects_unbounded_horizons():
+    for horizon in (math.inf, math.nan, 1e12):
+        with pytest.raises(ValidationError):
+            kappa_zeros(STRONG, horizon)
+    d = math.sqrt(STRONG.discriminant)
+    base = math.pi - math.atan2(d, STRONG.gamma)
+    with pytest.raises(ValidationError, match="more than"):
+        kappa_zeros(STRONG, (2.0 / d) * (MAX_GRID_NODES * math.pi + base))
+
+
+def test_kappa_zeros_far_negative_horizon_is_empty():
+    # horizon * d overflows to -inf for this reservoir
+    assert kappa_zeros(ReservoirConfig(gamma=1.0, eta0=100.0), -1.7e308) == []
 
 # --- solver ---
 

@@ -65,7 +65,7 @@ def test_state_norm_and_cap():
 
 def test_two_particle_squeezing_matches_closed_form():
     psi = build_oat_state(2, math.pi / 6)
-    assert xi2_from_state(psi).value == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert xi2_from_state(psi) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -97,11 +97,11 @@ def test_field_rotation_moves_css_to_y():
 def test_field_rotation_leaves_squeezing_invariant(delta_t):
     psi = build_oat_state(4, 0.3)
     rotated = apply_field_rotation(psi, 1.0, delta_t)
-    assert xi2_from_state(rotated).value == pytest.approx(
-        xi2_from_state(psi).value, abs=1e-12
+    assert xi2_from_state(rotated) == pytest.approx(
+        xi2_from_state(psi), abs=1e-12
     )
-    assert xi2_prime_from_state(rotated).value == pytest.approx(
-        xi2_prime_from_state(psi).value, abs=1e-12
+    assert xi2_prime_from_state(rotated) == pytest.approx(
+        xi2_prime_from_state(psi), abs=1e-12
     )
 
 
@@ -165,13 +165,13 @@ def test_maximally_mixed_moments():
     m = collective_moments(rho)
     np.testing.assert_allclose(m.mean_spin, 0.0, atol=1e-14)
     np.testing.assert_allclose(m.corr, (n / 4) * np.eye(3), atol=1e-14)
-    assert math.isinf(xi2_from_moments(m).value)
-    assert xi2_prime_from_moments(m).value == pytest.approx(n, rel=1e-12)
+    assert math.isinf(xi2_from_moments(m))
+    assert xi2_prime_from_moments(m) == pytest.approx(n, rel=1e-12)
 
 
 def test_moments_reproduce_closed_form():
     m = collective_moments(build_oat_state(3, 0.4))
-    assert xi2_from_moments(m).value == pytest.approx(xi2_oat(3, 0.4).value, abs=1e-12)
+    assert xi2_from_moments(m) == pytest.approx(xi2_oat(3, 0.4), abs=1e-12)
 
 
 def test_vector_and_matrix_moment_paths_agree():
@@ -230,7 +230,7 @@ def test_verification_closed_forms_equal_channel_xi2():
     assert len(rep.cases) == 6 * len(DEFAULT_ALPHAS) * 3 * len(DEFAULT_KAPPAS) * 2
     for c in rep.cases:
         for form, value in ((Form.EXACT, c.exact), (Form.REFERENCE, c.reference)):
-            assert value == channel_xi2(c.n, c.alpha, c.kappa, c.channel, c.definition, form).value
+            assert value == channel_xi2(c.n, c.alpha, c.kappa, c.channel, c.definition, form)
     # the oracle still rejects a bad kappa before any closed form sees it
     with pytest.raises(InvalidKappa):
         run_verification(ns=(3,), kappas=(0.5, 1.5), include_generator=False)
@@ -238,7 +238,7 @@ def test_verification_closed_forms_equal_channel_xi2():
 
 def test_css_prime_parameter_is_one():
     m = collective_moments(build_oat_state(4, 0.0))
-    assert xi2_prime_from_moments(m).value == pytest.approx(1.0, abs=1e-12)
+    assert xi2_prime_from_moments(m) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_prime_denominator_degenerate_for_singlet():
@@ -343,6 +343,24 @@ def test_generator_instability_detected():
     # float cancellation drives the trace off 1
     with pytest.raises(StepInstability):
         integrate_single_qubit_generator(LindbladParams.damping(1.0), UP, 240.0, step=6.0)
+
+
+def test_generator_rejects_bad_time_and_step():
+    params = LindbladParams.dephasing(0.1)
+    bad = [
+        {"t": math.inf},
+        {"t": math.nan},
+        {"t": -1.0},
+        {"t": 1.0, "step": 0.0},
+        {"t": 1.0, "step": -1.0},
+        {"t": 1.0, "step": math.nan},
+        {"t": 1.0, "step": math.inf},
+        {"t": 1.0, "step": 1e-320},
+        {"t": 1e12},
+    ]
+    for kwargs in bad:
+        with pytest.raises(ValidationError):
+            integrate_single_qubit_generator(params, PLUS, **kwargs)
 
 
 def test_generator_batch_matches_single_calls():
