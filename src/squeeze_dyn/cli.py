@@ -10,14 +10,13 @@ identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
 
 from . import __version__
-from ._format import SCHEMA, parse_header, write_csv
+from ._format import parse_header, write_csv, write_json, write_report
 from .analytic import (
     Form,
     curve_evaluator,
@@ -69,11 +68,8 @@ def _emit(path: str, writer) -> None:
 
 def _emit_table(path: str, fmt: str, kind: str, params: dict, columns: list, rows: list) -> None:
     """Write a table as '#'-headed CSV or as one JSON document."""
-    if fmt == "csv":
-        _emit(path, lambda fp: write_csv(fp, kind, params, columns, rows))
-        return
-    payload = {"schema": SCHEMA, "kind": kind, "params": params, "columns": columns, "rows": rows}
-    _emit(path, lambda fp: json.dump(payload, fp, indent=1))
+    writer = write_csv if fmt == "csv" else write_json
+    _emit(path, lambda fp: writer(fp, kind, params, columns, rows))
 
 
 def _timestamp_params(reproducible: bool) -> dict[str, object]:
@@ -161,6 +157,8 @@ def _load_tabulated(path: str) -> Tabulated:
 
 
 def _build_model(args: argparse.Namespace) -> KappaModel:
+    if args.kappa != "tabulated" and args.kappa_file is not None:
+        raise ValidationError(f"--kappa-file is read only with --kappa tabulated, not {args.kappa}")
     if args.kappa == "markovian":
         return MarkovianExponential(rate=args.rate)
     if args.kappa == "lorentzian":
@@ -251,7 +249,7 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
             comp_eval, args.t_max, coarse, params={"rate": args.compare_markovian}
         )
 
-    _emit(args.output, lambda fp: json.dump(report, fp, indent=1))
+    _emit(args.output, lambda fp: write_report(fp, report))
     return EXIT_OK
 
 
@@ -285,7 +283,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     for line in report.summary_lines():
         print(line)
     if args.output:
-        _emit(args.output, lambda fp: json.dump(report.to_json(), fp, indent=1))
+        _emit(args.output, lambda fp: write_report(fp, report.to_json()))
     if not report.all_passed:
         raise VerificationFailure(
             f"worst |oracle - exact| = {report.worst_exact_delta:.3e} "

@@ -184,7 +184,8 @@ class KappaSeries:
         }
         if params:
             meta.update(params)
-        write_csv(fp, "kappa", meta, ["t", "kappa"], zip(self.grid.nodes(), self.values))
+        rows = np.column_stack((self.grid.nodes(), self.values)).tolist()
+        write_csv(fp, "kappa", meta, ["t", "kappa"], rows)
 
 
 # base block of the history-sum tiling in ``_solve_general``: pairs closer

@@ -235,6 +235,22 @@ def test_death_times_rejects_curve_only_flags(unread, capsys):
     assert_usage_error(args + unread, capsys)
 
 
+@pytest.mark.parametrize("command", ["evolve", "death-times"])
+@pytest.mark.parametrize("kappa", ["markovian", "lorentzian"])
+def test_kappa_file_without_tabulated_kappa_is_a_usage_error(command, kappa, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = run(
+        [
+            command, "--n", "10", "--channel", "dephasing", "--t-max", "1",
+            "--kappa", kappa, "--kappa-file", str(tmp_path / "missing.csv"),
+            "--output", str(out),
+        ]
+    )
+    assert code == 2
+    assert "--kappa-file is read only with --kappa tabulated" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_output_directory_is_io_error(tmp_path):
     code = run(
         ["evolve", "--n", "4", "--alpha", "0.3", "--channel", "dephasing",
