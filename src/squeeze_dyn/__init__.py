@@ -21,13 +21,7 @@ from .analytic import (
     xi2_oat,
     xi2_prime_oat,
 )
-from .deathtimes import (
-    SqueezedInterval,
-    default_coarse_step,
-    final_death_time,
-    first_death_time,
-    squeezed_intervals,
-)
+from .deathtimes import death_report, default_coarse_step, squeezed_intervals
 from .kappa import (
     KappaModel,
     KappaSeries,
@@ -62,9 +56,7 @@ from .oracle import (
     kraus_operators,
     validate_density_matrix,
     xi2_from_moments,
-    xi2_from_state,
     xi2_prime_from_moments,
-    xi2_prime_from_state,
 )
 from .verify import run_verification
 
@@ -116,14 +108,10 @@ __all__ = [
     "kraus_operators",
     "validate_density_matrix",
     "xi2_from_moments",
-    "xi2_from_state",
     "xi2_prime_from_moments",
-    "xi2_prime_from_state",
     # death/revival
-    "SqueezedInterval",
+    "death_report",
     "default_coarse_step",
-    "final_death_time",
-    "first_death_time",
     "squeezed_intervals",
     # verification
     "run_verification",

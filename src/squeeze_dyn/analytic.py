@@ -35,22 +35,27 @@ Decohered expressions come in two families, selected by ``Form``:
     precision and is what the verification suite checks against.
 
 Both families coincide at kappa = 1 and are evaluable for any |kappa| <= 1.
+
+Along a kappa(t) trajectory the closed form is built once and maps whole
+arrays: ``squeezing_curve`` returns a ``SqueezingCurve`` of three arrays
+on a time grid (kappa, xi^2 and an optional Markovian comparison), and
+``curve_evaluator`` returns the t -> xi^2 map that the death-time scan
+calls. Neither records its arguments; the command line writes the
+output header from its own.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import IO, Callable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._format import write_csv
 from ._smalleig import min_eig_sym2, min_eig_sym3_entries
 from .errors import DegenerateDenominator, InvalidKappa, NTooSmall
 from .kappa import KappaModel, kappa_markovian
-from .model import ChannelKind, Definition, EnsembleConfig, TimeGrid
+from .model import ChannelKind, Definition, TimeGrid
 from .moments import ZERO_MEAN_SPIN_TOL, CollectiveMoments
 
 __all__ = [
@@ -274,10 +279,8 @@ def decohered_moments(
     closed form. Exact for every |kappa| <= 1, including the
     sign-flipped kappa < 0 branch.
     """
-    if n < 2:
-        raise NTooSmall(f"need at least 2 particles, got {n}")
-    kappa = _check_kappa(kappa)
-    jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, oat_coefficients(n, alpha), kind, kappa)
+    co = oat_coefficients(n, alpha)
+    jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, kind, _check_kappa(kappa))
     corr = np.array([[cxx, 0.0, cxz], [0.0, cyy, cyz], [cxz, cyz, czz]])
     return CollectiveMoments(n_particles=n, mean_spin=np.array([jx, 0.0, jz]), corr=corr)
 
@@ -330,8 +333,6 @@ def _kappa_map(
     the same shape; divergences are tagged +inf and an undefined
     eigenvalue-form denominator raises ``DegenerateDenominator``.
     """
-    if n < 2:
-        raise NTooSmall(f"need at least 2 particles, got {n}")
     build = _reference_map if form is Form.REFERENCE else _exact_map
     return build(n, oat_coefficients(n, alpha), kind, definition)
 
@@ -423,60 +424,14 @@ def optimal_alpha(n: int, xatol: float = 1e-10) -> tuple[float, float]:
     return alpha_star, math.sqrt(best)
 
 
-@dataclass(frozen=True)
-class SqueezingCurve:
-    """A squeezing parameter sampled along a kappa(t) trajectory."""
+class SqueezingCurve(NamedTuple):
+    """A squeezing parameter sampled on a time grid: kappa(t), xi^2(t)
+    and, when a Markovian comparison rate was given, xi^2 under
+    exp(-rate*t); one array element per grid node."""
 
-    config: EnsembleConfig
-    channel: ChannelKind
-    definition: Definition
-    form: Form
-    model_label: str
-    model_params: dict[str, object]
-    grid: TimeGrid
     kappa: np.ndarray
     values: np.ndarray
-    markov_rate: float | None = None
-    markov_values: np.ndarray | None = None
-
-    def metadata(self) -> dict[str, object]:
-        meta: dict[str, object] = {
-            "n": self.config.n_particles,
-            "alpha": self.config.alpha,
-            "delta": self.config.delta,
-            "channel": self.channel.value,
-            "definition": self.definition.value,
-            "form": self.form.value,
-            "model": self.model_label,
-        }
-        meta.update(self.model_params)
-        meta.update(
-            {
-                "t_start": self.grid.t_start,
-                "t_end": self.grid.t_end,
-                "step": self.grid.step,
-            }
-        )
-        if self.markov_rate is not None:
-            meta["compare_markovian"] = self.markov_rate
-        return meta
-
-    def table(self) -> tuple[list[str], list[list[float]]]:
-        """Column names and rows (t, kappa, xi2[, xi2_markovian]) as
-        Python floats, shared by the CSV and JSON emitters."""
-        cols = ["t", "kappa", "xi2"]
-        data = [self.grid.nodes(), self.kappa, self.values]
-        if self.markov_values is not None:
-            cols.append("xi2_markovian")
-            data.append(self.markov_values)
-        return cols, np.column_stack(data).tolist()
-
-    def to_csv(self, fp: IO[str], extra: Mapping[str, object] | None = None) -> None:
-        meta = self.metadata()
-        if extra:
-            meta.update(extra)
-        cols, rows = self.table()
-        write_csv(fp, "curve", meta, cols, rows)
+    markov_values: np.ndarray | None
 
 
 def _eval_curve(xi2: Callable, kappas: np.ndarray) -> np.ndarray:
@@ -501,7 +456,8 @@ def curve_evaluator(
 
 
 def squeezing_curve(
-    cfg: EnsembleConfig,
+    n: int,
+    alpha: float,
     channel: ChannelKind,
     model: KappaModel,
     grid: TimeGrid,
@@ -512,25 +468,11 @@ def squeezing_curve(
     """Evaluate kappa(t) on the grid and map it through the decohered
     closed form, whole arrays at a time; optionally add a Markovian
     comparison column computed from kappa(t) = exp(-rate*t)."""
-    if cfg.n_particles < 2:
-        raise NTooSmall("squeezing curves need at least 2 particles")
-    xi2 = _kappa_map(cfg.n_particles, cfg.alpha, channel, definition, form)
+    xi2 = _kappa_map(n, alpha, channel, definition, form)
     ts = grid.nodes()
     kappas = np.asarray(model.evaluate(ts), dtype=float)
     values = _eval_curve(xi2, kappas)
     markov_values = None
     if compare_markovian is not None:
         markov_values = _eval_curve(xi2, np.asarray(kappa_markovian(compare_markovian, ts)))
-    return SqueezingCurve(
-        config=cfg,
-        channel=channel,
-        definition=definition,
-        form=form,
-        model_label=model.label(),
-        model_params=model.params(),
-        grid=grid,
-        kappa=kappas,
-        values=values,
-        markov_rate=compare_markovian,
-        markov_values=markov_values,
-    )
+    return SqueezingCurve(kappas, values, markov_values)

@@ -50,6 +50,20 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+# reservoir defaults, applied in ``_build_model`` so that a flag the
+# chosen --kappa model does not read can be told from one left unset
+DEFAULT_RATE = 0.005
+DEFAULT_GAMMA = 0.01
+DEFAULT_ETA0 = 10.0
+
+#: the --kappa model that reads each model flag
+_MODEL_OF_FLAG = {
+    "rate": "markovian",
+    "gamma": "lorentzian",
+    "eta0": "lorentzian",
+    "kappa_file": "tabulated",
+}
+
 
 def _open_output(path: str):
     if path == "-":
@@ -109,10 +123,14 @@ def _add_curve_arguments(p: argparse.ArgumentParser) -> None:
         default="markovian",
         help="decoherence-function model",
     )
-    p.add_argument("--rate", type=float, default=0.005, help="markovian decay rate")
-    p.add_argument("--gamma", type=float, default=0.01, help="reservoir spectral width")
-    p.add_argument("--eta0", type=float, default=10.0, help="reservoir coupling strength")
-    p.add_argument("--kappa-file", default=None, help="kappa CSV for --kappa tabulated")
+    p.add_argument("--rate", type=float, help=f"markovian decay rate (default {DEFAULT_RATE})")
+    p.add_argument(
+        "--gamma", type=float, help=f"reservoir spectral width (default {DEFAULT_GAMMA})"
+    )
+    p.add_argument(
+        "--eta0", type=float, help=f"reservoir coupling strength (default {DEFAULT_ETA0})"
+    )
+    p.add_argument("--kappa-file", help="kappa CSV for --kappa tabulated")
     p.add_argument("--t-max", type=float, required=True)
     p.add_argument(
         "--compare-markovian",
@@ -157,12 +175,16 @@ def _load_tabulated(path: str) -> Tabulated:
 
 
 def _build_model(args: argparse.Namespace) -> KappaModel:
-    if args.kappa != "tabulated" and args.kappa_file is not None:
-        raise ValidationError(f"--kappa-file is read only with --kappa tabulated, not {args.kappa}")
+    for flag, reader in _MODEL_OF_FLAG.items():
+        if reader != args.kappa and getattr(args, flag) is not None:
+            option = "--" + flag.replace("_", "-")
+            raise ValidationError(f"{option} is read only with --kappa {reader}, not {args.kappa}")
     if args.kappa == "markovian":
-        return MarkovianExponential(rate=args.rate)
+        return MarkovianExponential(rate=DEFAULT_RATE if args.rate is None else args.rate)
     if args.kappa == "lorentzian":
-        return LorentzianClosedForm(res=ReservoirConfig(gamma=args.gamma, eta0=args.eta0))
+        gamma = DEFAULT_GAMMA if args.gamma is None else args.gamma
+        eta0 = DEFAULT_ETA0 if args.eta0 is None else args.eta0
+        return LorentzianClosedForm(res=ReservoirConfig(gamma=gamma, eta0=eta0))
     if not args.kappa_file:
         raise ValidationError("--kappa tabulated requires --kappa-file")
     return _load_tabulated(args.kappa_file)
@@ -194,22 +216,37 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, args.delta)
     model = _build_model(args)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_max, step=args.dt)
+    kind = ChannelKind(args.channel)
+    definition = Definition(args.definition)
+    form = Form(args.form)
     curve = squeezing_curve(
-        cfg,
-        ChannelKind(args.channel),
-        model,
-        grid,
-        definition=Definition(args.definition),
-        form=Form(args.form),
-        compare_markovian=args.compare_markovian,
+        cfg.n_particles, cfg.alpha, kind, model, grid, definition, form, args.compare_markovian
     )
-    extra = _timestamp_params(args.reproducible)
-    extra["alpha_auto"] = args.alpha is None
-
-    meta = curve.metadata()
-    meta.update(extra)
-    cols, rows = curve.table()
-    _emit_table(args.output, args.format, "curve", meta, cols, rows)
+    params: dict[str, object] = {
+        "n": cfg.n_particles,
+        "alpha": cfg.alpha,
+        "delta": cfg.delta,
+        "channel": kind.value,
+        "definition": definition.value,
+        "form": form.value,
+        "model": model.label(),
+        **model.params(),
+        # a tabulated model's own t_start/t_end/step keys keep their place
+        # and take the curve grid's values
+        "t_start": grid.t_start,
+        "t_end": grid.t_end,
+        "step": grid.step,
+    }
+    columns = ["t", "kappa", "xi2"]
+    data = [grid.nodes(), curve.kappa, curve.values]
+    if args.compare_markovian is not None:
+        params["compare_markovian"] = args.compare_markovian
+        columns.append("xi2_markovian")
+        data.append(curve.markov_values)
+    params.update(_timestamp_params(args.reproducible))
+    params["alpha_auto"] = args.alpha is None
+    rows = np.column_stack(data).tolist()
+    _emit_table(args.output, args.format, "curve", params, columns, rows)
     return EXIT_OK
 
 

@@ -14,7 +14,6 @@ limit of the scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,10 +23,7 @@ from .errors import ValidationError
 from .model import MAX_GRID_NODES
 
 __all__ = [
-    "SqueezedInterval",
-    "first_death_time",
     "squeezed_intervals",
-    "final_death_time",
     "default_coarse_step",
     "death_report",
 ]
@@ -36,14 +32,6 @@ __all__ = [
 REFINE_TOL = 1e-6
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
-
-
-@dataclass(frozen=True)
-class SqueezedInterval:
-    """Maximal interval with xi^2 < 1 strictly inside."""
-
-    t_start: float
-    t_end: float
 
 
 def _squeezed(evaluator: Evaluator, ts: np.ndarray) -> np.ndarray:
@@ -72,9 +60,10 @@ def _bisect(
 
 def squeezed_intervals(
     evaluator: Evaluator, horizon: float, coarse_step: float
-) -> list[SqueezedInterval]:
-    """All maximal squeezed intervals within [0, horizon], boundaries
-    refined by bisection."""
+) -> list[list[float]]:
+    """All maximal squeezed intervals within [0, horizon], as [start, end]
+    pairs in time order: xi^2 < 1 strictly inside each, boundaries refined
+    by bisection."""
     if not (horizon > 0.0 and 0.0 < coarse_step < math.inf):
         raise ValidationError(
             f"horizon {horizon!r} and coarse step {coarse_step!r} must be positive, "
@@ -100,37 +89,7 @@ def squeezed_intervals(
     inner = (edges > 0) & (edges <= n_steps)
     e = edges[inner]
     bounds[inner] = _bisect(evaluator, ts[e - 1], ts[e], flags[e])
-    return [SqueezedInterval(a, b) for a, b in bounds.reshape(-1, 2).tolist()]
-
-
-def _first_death(intervals: list[SqueezedInterval], horizon: float) -> float | None:
-    if not intervals or intervals[0].t_start > 0.0:
-        return 0.0
-    first = intervals[0]
-    return None if first.t_end >= horizon else first.t_end
-
-
-def _final_death(intervals: list[SqueezedInterval], horizon: float) -> float | None:
-    if not intervals:
-        return 0.0
-    last = intervals[-1]
-    return None if last.t_end >= horizon else last.t_end
-
-
-def first_death_time(
-    evaluator: Evaluator, horizon: float, coarse_step: float
-) -> float | None:
-    """Smallest t <= horizon with xi^2(t) >= 1; 0 if unsqueezed at t=0,
-    None if squeezed throughout."""
-    return _first_death(squeezed_intervals(evaluator, horizon, coarse_step), horizon)
-
-
-def final_death_time(
-    evaluator: Evaluator, horizon: float, coarse_step: float
-) -> float | None:
-    """Supremum of squeezed-interval right endpoints within the horizon;
-    None if still squeezed at the horizon, 0 if never squeezed."""
-    return _final_death(squeezed_intervals(evaluator, horizon, coarse_step), horizon)
+    return bounds.reshape(-1, 2).tolist()
 
 
 def default_coarse_step(d: float | None = None) -> float:
@@ -148,16 +107,28 @@ def death_report(
     coarse_step: float,
     params: dict[str, object] | None = None,
 ) -> dict[str, object]:
-    """JSON-ready summary: interval list plus first/final death times, all
-    from one scan of the curve."""
+    """JSON-ready summary of one scan of the curve: the squeezed intervals
+    and two death times.
+
+    ``first_death`` is the smallest t <= horizon with xi^2(t) >= 1: 0 if
+    unsqueezed at t = 0, None if squeezed throughout. ``final_death`` is
+    the end of the last squeezed interval: None if still squeezed at the
+    horizon, 0 if never squeezed.
+    """
     intervals = squeezed_intervals(evaluator, horizon, coarse_step)
+    first_death = final_death = 0.0  # never squeezed
+    if intervals:
+        (start, end), last_end = intervals[0], intervals[-1][1]
+        if start <= 0.0:  # squeezed at t = 0
+            first_death = None if end >= horizon else end
+        final_death = None if last_end >= horizon else last_end
     return {
         "schema": SCHEMA,
         "kind": "death-times",
         "params": dict(params or {}),
         "horizon": horizon,
         "coarse_step": coarse_step,
-        "intervals": [[iv.t_start, iv.t_end] for iv in intervals],
-        "first_death": _first_death(intervals, horizon),
-        "final_death": _final_death(intervals, horizon),
+        "intervals": intervals,
+        "first_death": first_death,
+        "final_death": final_death,
     }

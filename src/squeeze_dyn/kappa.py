@@ -147,7 +147,6 @@ class MemoryKernel:
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    tag: str = "custom"
     # (c, gamma) of f(u) = c*exp(-gamma*u); set only by ``exponential``, so
     # the solver's O(M) recurrence runs only on kernels known to have this form
     _exponential: tuple[float, float] | None = field(
@@ -164,7 +163,7 @@ class MemoryKernel:
         def f(u):
             return scale * np.exp(-res.gamma * np.asarray(u, dtype=float))
 
-        kernel = cls(evaluator=f, tag=f"exponential(gamma={res.gamma!r},eta0={res.eta0!r})")
+        kernel = cls(evaluator=f)
         object.__setattr__(kernel, "_exponential", (scale, res.gamma))
         return kernel
 
@@ -381,10 +380,6 @@ class Tabulated(KappaModel):
             raise ValidationError("tabulated kappa must be finite with |kappa| <= 1")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "_nodes", self.grid.nodes())
-
-    @classmethod
-    def from_series(cls, series: KappaSeries) -> "Tabulated":
-        return cls(grid=series.grid, values=series.values)
 
     def evaluate(self, t):
         arr = _check_times(t)

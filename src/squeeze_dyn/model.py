@@ -104,9 +104,7 @@ def validate_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleWarning, ...]:
 class ReservoirConfig:
     """Lorentzian reservoir: spectral width gamma, coupling strength eta0.
 
-    The memory kernel is f(u) = eta0*gamma*exp(-gamma*u)/2; the reservoir
-    correlation time is approximately 1/gamma (exposed read-only, unused
-    in any formula).
+    The memory kernel is f(u) = eta0*gamma*exp(-gamma*u)/2.
     """
 
     gamma: float
@@ -133,10 +131,6 @@ class ReservoirConfig:
     def discriminant(self) -> float:
         """2*eta0*gamma - gamma^2; positive in the strong-coupling regime."""
         return 2.0 * self.eta0 * self.gamma - self.gamma**2
-
-    @property
-    def correlation_time(self) -> float:
-        return 1.0 / self.gamma
 
 
 #: relative tolerance on eta0 = gamma/2 for tagging the critical regime

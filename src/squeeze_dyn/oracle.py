@@ -51,8 +51,6 @@ __all__ = [
     "collective_moments",
     "reduced_sums",
     "moments_from_reduced",
-    "xi2_from_state",
-    "xi2_prime_from_state",
     "xi2_from_moments",
     "xi2_prime_from_moments",
     "validate_density_matrix",
@@ -233,14 +231,6 @@ def collective_moments(state: np.ndarray, n: int | None = None) -> CollectiveMom
     if n is None:
         n = int(round(math.log2(state.shape[0])))
     return moments_from_reduced(*reduced_sums(state, n), n)
-
-
-def xi2_from_state(state: np.ndarray, n: int | None = None) -> float:
-    return xi2_from_moments(collective_moments(state, n))
-
-
-def xi2_prime_from_state(state: np.ndarray, n: int | None = None) -> float:
-    return xi2_prime_from_moments(collective_moments(state, n))
 
 
 def validate_density_matrix(

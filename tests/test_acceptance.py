@@ -15,7 +15,6 @@ import pytest
 from squeeze_dyn import (
     ChannelKind,
     Definition,
-    EnsembleConfig,
     Form,
     LorentzianClosedForm,
     MarkovianExponential,
@@ -24,18 +23,18 @@ from squeeze_dyn import (
     TimeGrid,
     apply_channel,
     build_oat_state,
+    collective_moments,
     curve_evaluator,
-    final_death_time,
-    first_death_time,
+    death_report,
     kappa_lorentzian,
     kappa_zeros,
     optimal_alpha,
     solve_volterra,
     squeezed_intervals,
     squeezing_curve,
-    xi2_from_state,
+    xi2_from_moments,
     xi2_oat,
-    xi2_prime_from_state,
+    xi2_prime_from_moments,
     xi2_prime_oat,
 )
 from squeeze_dyn.analytic import _golden_min
@@ -97,7 +96,7 @@ def test_criterion_2_volterra_solver():
 
 def _death_at(alpha, kind, definition):
     ev = curve_evaluator(10, alpha, kind, MarkovianExponential(rate=RATE), definition)
-    return first_death_time(ev, horizon=600.0, coarse_step=0.5)
+    return death_report(ev, horizon=600.0, coarse_step=0.5)["first_death"]
 
 
 def _best_alpha(target, kind, definition):
@@ -147,12 +146,11 @@ def test_criterion_3_death_times(alpha_star):
 def test_criterion_4_damping_robustness(alpha_star):
     """Both squeezing parameters stay below 1 on [0, 1000] under damping
     for the exponential and the Lorentzian decoherence functions."""
-    cfg = EnsembleConfig(10, alpha_star)
     grid = TimeGrid(0.0, 1000.0, 0.05)
     worst = -math.inf
     for model in (MarkovianExponential(rate=RATE), LorentzianClosedForm(STRONG)):
         for definition in Definition:
-            curve = squeezing_curve(cfg, ChannelKind.DAMPING, model, grid, definition)
+            curve = squeezing_curve(10, alpha_star, ChannelKind.DAMPING, model, grid, definition)
             worst = max(worst, float(np.max(curve.values)))
     ok = worst < 1.0
     report(4, ok, f"max over both models/definitions on [0,1000] = {worst:.8f} < 1")
@@ -188,7 +186,7 @@ def test_criterion_6_collapse_revival(alpha_star):
     finals = {}
     for kind in (ChannelKind.DEPHASING, ChannelKind.DEPOLARIZING):
         ev = curve_evaluator(10, alpha_star, kind, LorentzianClosedForm(STRONG))
-        finals[kind.value] = final_death_time(ev, horizon=600.0, coarse_step=step)
+        finals[kind.value] = death_report(ev, horizon=600.0, coarse_step=step)["final_death"]
     ok = len(ivs) >= 3 and all(f is not None and f < 600.0 for f in finals.values())
     report(
         6,
@@ -262,13 +260,13 @@ def test_criterion_8_invariance_suite():
     unsqueezed baseline, and complete positivity on random densities."""
     # field-rotation invariance of both parameters
     psi = build_oat_state(4, 0.3)
-    base_xi = xi2_from_state(psi)
-    base_xip = xi2_prime_from_state(psi)
+    base_xi = xi2_from_moments(collective_moments(psi))
+    base_xip = xi2_prime_from_moments(collective_moments(psi))
     rot_dev = 0.0
     for delta_t in (0.9, 2.7):
         rotated = apply_field_rotation(psi, 1.0, delta_t)
-        rot_dev = max(rot_dev, abs(xi2_from_state(rotated) - base_xi))
-        rot_dev = max(rot_dev, abs(xi2_prime_from_state(rotated) - base_xip))
+        rot_dev = max(rot_dev, abs(xi2_from_moments(collective_moments(rotated)) - base_xi))
+        rot_dev = max(rot_dev, abs(xi2_prime_from_moments(collective_moments(rotated)) - base_xip))
     assert rot_dev <= 1e-12
 
     # kappa = 1 is the identity channel

@@ -7,7 +7,6 @@ import pytest
 from squeeze_dyn import (
     ChannelKind,
     Definition,
-    EnsembleConfig,
     Form,
     MarkovianExponential,
     TimeGrid,
@@ -20,10 +19,8 @@ from squeeze_dyn import (
     optimal_alpha,
     squeezing_curve,
     xi2_from_moments,
-    xi2_from_state,
     xi2_oat,
     xi2_prime_from_moments,
-    xi2_prime_from_state,
     xi2_prime_oat,
 )
 from squeeze_dyn.analytic import _kappa_map, _zeta, xi2_oat_curve
@@ -121,8 +118,8 @@ def test_squeezing_functions_return_floats():
         "channel_xi2": channel_xi2(10, 0.1, 0.0, ChannelKind.DEPOLARIZING, Definition.XI),
         "xi2_from_moments": xi2_from_moments(mixed),
         "xi2_prime_from_moments": xi2_prime_from_moments(mixed),
-        "xi2_from_state": xi2_from_state(psi),
-        "xi2_prime_from_state": xi2_prime_from_state(psi),
+        "xi2_from_moments pure": xi2_from_moments(collective_moments(psi)),
+        "xi2_prime_from_moments pure": xi2_prime_from_moments(collective_moments(psi)),
     }
     for name, value in values.items():
         assert type(value) is float, name
@@ -279,23 +276,20 @@ def test_squeezing_curve_from_solver_output_matches_closed_form():
 
     res = ReservoirConfig(gamma=0.01, eta0=10.0)
     series = solve_volterra(MemoryKernel.exponential(res), TimeGrid(0.0, 50.0, 0.01))
-    cfg = EnsembleConfig(10, 0.2)
     grid = TimeGrid(0.0, 50.0, 0.5)
     curve_tab = squeezing_curve(
-        cfg, ChannelKind.DEPHASING, Tabulated.from_series(series), grid
+        10, 0.2, ChannelKind.DEPHASING, Tabulated(series.grid, series.values), grid
     )
-    curve_exact = squeezing_curve(
-        cfg, ChannelKind.DEPHASING, LorentzianClosedForm(res), grid
-    )
+    curve_exact = squeezing_curve(10, 0.2, ChannelKind.DEPHASING, LorentzianClosedForm(res), grid)
     np.testing.assert_allclose(curve_tab.values, curve_exact.values, atol=2e-4)
 
 
 def test_squeezing_curve_markovian_dephasing_crossing():
     alpha_star, _ = optimal_alpha(10)
-    cfg = EnsembleConfig(10, alpha_star)
     grid = TimeGrid(0.0, 400.0, 0.5)
     curve = squeezing_curve(
-        cfg,
+        10,
+        alpha_star,
         ChannelKind.DEPHASING,
         MarkovianExponential(rate=0.005),
         grid,
@@ -309,9 +303,7 @@ def test_squeezing_curve_markovian_dephasing_crossing():
     assert 240 < crossing < 280
     # comparison column computed from the same rate coincides
     np.testing.assert_allclose(curve.markov_values, vals, rtol=1e-12)
-    meta = curve.metadata()
-    assert meta["channel"] == "dephasing"
-    assert meta["rate"] == 0.005
+    np.testing.assert_array_equal(curve.kappa, np.exp(-0.005 * ts))
 
 
 # the kappa -> xi^2 map on whole arrays against the scalar route
@@ -363,9 +355,7 @@ def test_squeezing_curve_matches_per_node(n, kind, definition, form):
     # kappa(t) passes through every test value at a grid node
     kappas = np.concatenate([[1.0], MAP_KAPPAS])
     grid = TimeGrid(0.0, float(len(kappas) - 1), 1.0)
-    curve = squeezing_curve(
-        EnsembleConfig(n, alpha), kind, Tabulated(grid, kappas), grid, definition, form
-    )
+    curve = squeezing_curve(n, alpha, kind, Tabulated(grid, kappas), grid, definition, form)
     want = _per_node(n, alpha, np.abs(kappas), kind, definition, form)
     np.testing.assert_array_equal(curve.values, want)
 

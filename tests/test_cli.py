@@ -8,7 +8,7 @@ import pytest
 from squeeze_dyn._format import parse_header
 from squeeze_dyn.analytic import xi2_oat_curve
 from squeeze_dyn.cli import main
-from squeeze_dyn.kappa import MemoryKernel, solve_volterra
+from squeeze_dyn.kappa import KappaSeries, MemoryKernel, solve_volterra
 from squeeze_dyn.model import ReservoirConfig, TimeGrid
 
 
@@ -235,22 +235,6 @@ def test_death_times_rejects_curve_only_flags(unread, capsys):
     assert_usage_error(args + unread, capsys)
 
 
-@pytest.mark.parametrize("command", ["evolve", "death-times"])
-@pytest.mark.parametrize("kappa", ["markovian", "lorentzian"])
-def test_kappa_file_without_tabulated_kappa_is_a_usage_error(command, kappa, tmp_path, capsys):
-    out = tmp_path / "out"
-    code = run(
-        [
-            command, "--n", "10", "--channel", "dephasing", "--t-max", "1",
-            "--kappa", kappa, "--kappa-file", str(tmp_path / "missing.csv"),
-            "--output", str(out),
-        ]
-    )
-    assert code == 2
-    assert "--kappa-file is read only with --kappa tabulated" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_missing_output_directory_is_io_error(tmp_path):
     code = run(
         ["evolve", "--n", "4", "--alpha", "0.3", "--channel", "dephasing",
@@ -365,7 +349,6 @@ def test_grids_beyond_the_node_cap_are_usage_errors(args, capsys):
 
 def test_tabulated_kappa_round_trips_through_csv(tmp_path):
     from squeeze_dyn.cli import _load_tabulated
-    from squeeze_dyn.kappa import KappaSeries
 
     grid = TimeGrid(0.0, 2.0, 0.5)
     # a negative kappa row and one written as an exponent
@@ -549,3 +532,124 @@ def test_ensemble_warnings_reach_stderr(capsys):
     assert out.startswith("#") and "warning" not in out
     assert run(args + ["--alpha", "0.2"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def _header_lines(text):
+    return [line for line in text.splitlines() if line.startswith("#")]
+
+
+def test_evolve_header_bytes_markovian_with_comparison(capsys):
+    args = [
+        "evolve", "--n", "6", "--alpha", "0.25", "--delta", "0.7", "--channel", "damping",
+        "--kappa", "markovian", "--rate", "0.004", "--t-max", "2", "--dt", "1",
+        "--compare-markovian", "0.01", "--reproducible",
+    ]
+    assert run(args) == 0
+    assert _header_lines(capsys.readouterr().out) == [
+        "# curve schema=squeeze-dyn/1",
+        "# n = 6",
+        "# alpha = 0.25",
+        "# delta = 0.69999999999999996",
+        "# channel = damping",
+        "# definition = xi",
+        "# form = reference",
+        "# model = markovian",
+        "# rate = 0.0040000000000000001",
+        "# t_start = 0",
+        "# t_end = 2",
+        "# step = 1",
+        "# compare_markovian = 0.01",
+        "# alpha_auto = false",
+    ]
+
+
+def test_evolve_header_bytes_lorentzian(capsys):
+    args = [
+        "evolve", "--n", "10", "--channel", "dephasing", "--definition", "xi-prime",
+        "--form", "exact", "--kappa", "lorentzian", "--gamma", "0.02", "--eta0", "5",
+        "--t-max", "1", "--dt", "0.5",
+    ]
+    assert run(args + ["--reproducible"]) == 0
+    want = [
+        "# curve schema=squeeze-dyn/1",
+        "# n = 10",
+        "# alpha = 0.20048010685386963",
+        "# delta = 0",
+        "# channel = dephasing",
+        "# definition = xi-prime",
+        "# form = exact",
+        "# model = lorentzian",
+        "# gamma = 0.02",
+        "# eta0 = 5",
+        "# t_start = 0",
+        "# t_end = 1",
+        "# step = 0.5",
+        "# alpha_auto = true",
+    ]
+    assert _header_lines(capsys.readouterr().out) == want
+    # without --reproducible the timestamp comes just before alpha_auto
+    assert run(args) == 0
+    got = _header_lines(capsys.readouterr().out)
+    assert got[-2].startswith("# generated = ")
+    assert got[:-2] + got[-1:] == want
+
+
+def test_evolve_header_bytes_tabulated_grid_keys(tmp_path, capsys):
+    # the model's own t_start/t_end/step keys keep their place and take
+    # the curve grid's values, not the kappa file's (t_end 2, step 0.5)
+    kfile = tmp_path / "kappa.csv"
+    with open(kfile, "w") as fp:
+        values = np.array([1.0, 0.9, 0.7, 0.4, 0.1])
+        KappaSeries(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp, params={"model": "test"})
+    args = [
+        "evolve", "--n", "4", "--alpha", "0.3", "--channel", "depolarizing",
+        "--kappa", "tabulated", "--kappa-file", str(kfile), "--t-max", "1", "--dt", "0.25",
+        "--reproducible",
+    ]
+    assert run(args) == 0
+    assert _header_lines(capsys.readouterr().out) == [
+        "# curve schema=squeeze-dyn/1",
+        "# n = 4",
+        "# alpha = 0.29999999999999999",
+        "# delta = 0",
+        "# channel = depolarizing",
+        "# definition = xi",
+        "# form = reference",
+        "# model = tabulated",
+        "# t_start = 0",
+        "# t_end = 1",
+        "# step = 0.25",
+        "# alpha_auto = false",
+    ]
+
+
+@pytest.mark.parametrize("command", ["evolve", "death-times"])
+@pytest.mark.parametrize(
+    "kappa, flag, reader",
+    [
+        ("lorentzian", "--rate", "markovian"),
+        ("tabulated", "--rate", "markovian"),
+        ("markovian", "--gamma", "lorentzian"),
+        ("markovian", "--eta0", "lorentzian"),
+        ("tabulated", "--gamma", "lorentzian"),
+        ("tabulated", "--eta0", "lorentzian"),
+        ("markovian", "--kappa-file", "tabulated"),
+        ("lorentzian", "--kappa-file", "tabulated"),
+    ],
+)
+def test_model_flag_of_another_model_is_a_usage_error(
+    command, kappa, flag, reader, tmp_path, capsys
+):
+    # each flag is checked before anything reads it, the kappa file included
+    out = tmp_path / "out"
+    value = str(tmp_path / "missing.csv") if flag == "--kappa-file" else "0.5"
+    args = [
+        command, "--n", "10", "--channel", "dephasing", "--t-max", "0.1",
+        "--kappa", kappa, flag, value, "--output", str(out),
+    ]
+    if kappa == "tabulated":
+        args += ["--kappa-file", str(tmp_path / "missing.csv")]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert f"{flag} is read only with --kappa {reader}, not {kappa}" in err
+    assert not out.exists()

@@ -16,14 +16,13 @@ from squeeze_dyn import (
     Tabulated,
     TimeGrid,
     curve_evaluator,
+    death_report,
     default_coarse_step,
-    final_death_time,
-    first_death_time,
     optimal_alpha,
     solve_volterra,
     squeezed_intervals,
 )
-from squeeze_dyn.deathtimes import REFINE_TOL, SqueezedInterval, death_report
+from squeeze_dyn.deathtimes import REFINE_TOL
 from squeeze_dyn.errors import ValidationError
 
 STRONG = ReservoirConfig(gamma=0.01, eta0=10.0)
@@ -34,25 +33,39 @@ def linear(t):
 
 
 def test_first_death_synthetic_linear():
-    assert first_death_time(linear, horizon=200.0, coarse_step=1.0) == pytest.approx(
-        50.0, abs=1e-6
-    )
+    report = death_report(linear, horizon=200.0, coarse_step=1.0)
+    assert report["first_death"] == pytest.approx(50.0, abs=1e-6)
 
 
 def test_first_death_zero_when_unsqueezed_at_start():
-    assert first_death_time(lambda t: np.full_like(t, 1.5), horizon=10.0, coarse_step=0.5) == 0.0
+    # unsqueezed at t = 0, squeezed later: the curve dies at once
+    revives = death_report(lambda t: 1.0 + 0.5 * np.cos(t), horizon=20.0, coarse_step=0.1)
+    assert revives["first_death"] == 0.0
+    assert revives["intervals"][0][0] > 0.0
+    assert revives["final_death"] == revives["intervals"][-1][1] < 20.0
+
+
+def test_final_death_zero_when_never_squeezed():
+    report = death_report(lambda t: np.full_like(t, 1.5), horizon=10.0, coarse_step=0.5)
+    assert report["intervals"] == []
+    assert report["first_death"] == 0.0
+    assert report["final_death"] == 0.0
 
 
 def test_first_death_none_when_squeezed_throughout():
-    assert first_death_time(lambda t: np.full_like(t, 0.5), horizon=10.0, coarse_step=0.5) is None
+    report = death_report(lambda t: np.full_like(t, 0.5), horizon=10.0, coarse_step=0.5)
+    assert report["intervals"] == [[0.0, 10.0]]
+    assert report["first_death"] is None
+    assert report["final_death"] is None
 
 
 def test_single_interval_for_monotone_curve():
     ivs = squeezed_intervals(linear, horizon=200.0, coarse_step=1.0)
     assert len(ivs) == 1
-    assert ivs[0].t_start == 0.0
-    assert ivs[0].t_end == pytest.approx(50.0, abs=1e-6)
-    assert final_death_time(linear, 200.0, 1.0) == pytest.approx(50.0, abs=1e-6)
+    assert ivs[0][0] == 0.0
+    assert ivs[0][1] == pytest.approx(50.0, abs=1e-6)
+    final = death_report(linear, 200.0, 1.0)["final_death"]
+    assert final == pytest.approx(50.0, abs=1e-6)
 
 
 def test_first_death_matches_leftmost_interval_end():
@@ -61,9 +74,10 @@ def test_first_death_matches_leftmost_interval_end():
         10, alpha_star, ChannelKind.DEPHASING, LorentzianClosedForm(STRONG)
     )
     step = default_coarse_step(math.sqrt(STRONG.discriminant))
-    first = first_death_time(ev, horizon=100.0, coarse_step=step)
+    report = death_report(ev, horizon=100.0, coarse_step=step)
     ivs = squeezed_intervals(ev, horizon=100.0, coarse_step=step)
-    assert first == pytest.approx(ivs[0].t_end, abs=1e-6)
+    assert report["intervals"] == ivs
+    assert report["first_death"] == ivs[0][1]
 
 
 def test_nonmarkovian_dephasing_revives():
@@ -74,9 +88,9 @@ def test_nonmarkovian_dephasing_revives():
     step = default_coarse_step(math.sqrt(STRONG.discriminant))
     ivs = squeezed_intervals(ev, horizon=100.0, coarse_step=step)
     assert len(ivs) >= 3
-    for iv in ivs:
-        assert iv.t_start < iv.t_end
-        assert ev(0.5 * (iv.t_start + iv.t_end)) < 1.0
+    for start, end in ivs:
+        assert start < end
+        assert ev(0.5 * (start + end)) < 1.0
 
 
 def test_refinement_convergence_interval_count_stable():
@@ -97,10 +111,8 @@ def test_markovian_damping_single_interval_to_horizon():
         10, alpha_star, ChannelKind.DAMPING, MarkovianExponential(rate=0.005)
     )
     ivs = squeezed_intervals(ev, horizon=1000.0, coarse_step=0.5)
-    assert len(ivs) == 1
-    assert ivs[0].t_start == 0.0
-    assert ivs[0].t_end == 1000.0
-    assert final_death_time(ev, 1000.0, 0.5) is None
+    assert ivs == [[0.0, 1000.0]]
+    assert death_report(ev, 1000.0, 0.5)["final_death"] is None
 
 
 def test_divergence_tags_count_as_unsqueezed():
@@ -163,7 +175,7 @@ def test_death_report_makes_one_pass(evaluator, horizon, step):
 
 def _solver_tabulated():
     series = solve_volterra(MemoryKernel.exponential(STRONG), TimeGrid(0.0, 100.0, 0.01))
-    return Tabulated.from_series(series)
+    return Tabulated(series.grid, series.values)
 
 
 _MODELS = [
@@ -194,7 +206,7 @@ def _reference_scan(evaluator, horizon, coarse_step):
     for i, j in zip(edges[0::2].tolist(), (edges[1::2] - 1).tolist()):
         start = float(ts[i]) if i == 0 else refine(float(ts[i - 1]), float(ts[i]))
         end = float(ts[j]) if j == n_steps else refine(float(ts[j]), float(ts[j + 1]))
-        intervals.append(SqueezedInterval(start, end))
+        intervals.append([start, end])
     return intervals
 
 
@@ -228,7 +240,7 @@ def test_array_scan_makes_one_array_call_then_bisects():
     coarse, *bisections = model.calls
     np.testing.assert_array_equal(coarse, np.minimum(np.arange(n_steps + 1) * step, horizon))
     # every boundary is bisected in the first step, then only the open ones
-    boundaries = sum((iv.t_start > 0.0) + (iv.t_end < horizon) for iv in ivs)
+    boundaries = sum((start > 0.0) + (end < horizon) for start, end in ivs)
     assert boundaries > 0 and bisections[0].shape == (boundaries,)
     assert 1 <= len(bisections) <= math.ceil(math.log2(step / REFINE_TOL))
 

@@ -95,10 +95,6 @@ def test_reservoir_accepts_small_normal_products():
     assert res.discriminant == pytest.approx(1e-300, rel=1e-12)
 
 
-def test_reservoir_correlation_time():
-    assert ReservoirConfig(0.01, 10.0).correlation_time == pytest.approx(100.0)
-
-
 @pytest.mark.parametrize(
     "params,expected",
     [

@@ -14,10 +14,8 @@ from squeeze_dyn import (
     kraus_operators,
     validate_density_matrix,
     xi2_from_moments,
-    xi2_from_state,
     xi2_oat,
     xi2_prime_from_moments,
-    xi2_prime_from_state,
 )
 from squeeze_dyn.errors import (
     DegenerateDenominator,
@@ -65,7 +63,7 @@ def test_state_norm_and_cap():
 
 def test_two_particle_squeezing_matches_closed_form():
     psi = build_oat_state(2, math.pi / 6)
-    assert xi2_from_state(psi) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert xi2_from_moments(collective_moments(psi)) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -97,11 +95,11 @@ def test_field_rotation_moves_css_to_y():
 def test_field_rotation_leaves_squeezing_invariant(delta_t):
     psi = build_oat_state(4, 0.3)
     rotated = apply_field_rotation(psi, 1.0, delta_t)
-    assert xi2_from_state(rotated) == pytest.approx(
-        xi2_from_state(psi), abs=1e-12
+    assert xi2_from_moments(collective_moments(rotated)) == pytest.approx(
+        xi2_from_moments(collective_moments(psi)), abs=1e-12
     )
-    assert xi2_prime_from_state(rotated) == pytest.approx(
-        xi2_prime_from_state(psi), abs=1e-12
+    assert xi2_prime_from_moments(collective_moments(rotated)) == pytest.approx(
+        xi2_prime_from_moments(collective_moments(psi)), abs=1e-12
     )
 
 
@@ -245,7 +243,7 @@ def test_prime_denominator_degenerate_for_singlet():
     psi = np.zeros(4, dtype=complex)
     psi[1], psi[2] = -1 / math.sqrt(2), 1 / math.sqrt(2)
     with pytest.raises(DegenerateDenominator):
-        xi2_prime_from_state(psi)
+        xi2_prime_from_moments(collective_moments(psi))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
