@@ -64,6 +64,9 @@ _MODEL_OF_FLAG = {
     "kappa_file": "tabulated",
 }
 
+#: the curve grid's keys in an ``evolve`` header
+_GRID_KEYS = ("t_start", "t_end", "step")
+
 
 def _open_output(path: str):
     if path == "-":
@@ -147,9 +150,20 @@ def _add_curve_arguments(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _load_tabulated(path: str) -> Tabulated:
-    with open(path, "r", encoding="utf-8") as fp:
-        text = fp.read()
+def _load_tabulated(path: str) -> tuple[Tabulated, str]:
+    """The kappa file as a model, and the hex SHA-256 of its bytes."""
+    # imported here: loading hashlib's OpenSSL backend adds about 3 ms to
+    # the start of every command that reads no kappa file
+    import hashlib
+
+    with open(path, "rb") as fp:
+        data = fp.read()
+    digest = hashlib.sha256(data).hexdigest()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: kappa file is not UTF-8 text: {exc}") from exc
+    del data  # the parse below holds the text several times over; not the bytes too
     header = parse_header(text)
     # the first line after the '#' header names the columns
     body = [line for line in text.splitlines() if line and not line.startswith("#")]
@@ -171,23 +185,29 @@ def _load_tabulated(path: str) -> Tabulated:
             f"{path}: t column is not the grid t = {grid.t_start!r} + k*{step!r}, "
             f"k = 0..{grid.n_nodes - 1}"
         )
-    return Tabulated(grid=grid, values=vals)
+    return Tabulated(grid=grid, values=vals), digest
 
 
-def _build_model(args: argparse.Namespace) -> KappaModel:
+def _build_model(args: argparse.Namespace) -> tuple[KappaModel, dict[str, object]]:
+    """The --kappa model and the header keys that identify it: its label,
+    for a kappa file the digest of its bytes, and the model's parameters."""
     for flag, reader in _MODEL_OF_FLAG.items():
         if reader != args.kappa and getattr(args, flag) is not None:
             option = "--" + flag.replace("_", "-")
             raise ValidationError(f"{option} is read only with --kappa {reader}, not {args.kappa}")
+    source: dict[str, object] = {}
     if args.kappa == "markovian":
-        return MarkovianExponential(rate=DEFAULT_RATE if args.rate is None else args.rate)
-    if args.kappa == "lorentzian":
+        model = MarkovianExponential(rate=DEFAULT_RATE if args.rate is None else args.rate)
+    elif args.kappa == "lorentzian":
         gamma = DEFAULT_GAMMA if args.gamma is None else args.gamma
         eta0 = DEFAULT_ETA0 if args.eta0 is None else args.eta0
-        return LorentzianClosedForm(res=ReservoirConfig(gamma=gamma, eta0=eta0))
-    if not args.kappa_file:
+        model = LorentzianClosedForm(res=ReservoirConfig(gamma=gamma, eta0=eta0))
+    elif not args.kappa_file:
         raise ValidationError("--kappa tabulated requires --kappa-file")
-    return _load_tabulated(args.kappa_file)
+    else:
+        # the digest, not the path: a path differs between runs of one input
+        model, source["kappa_sha256"] = _load_tabulated(args.kappa_file)
+    return model, {"model": model.label(), **source, **model.params()}
 
 
 def _check_n_cap(n: int, flag: str) -> None:
@@ -214,7 +234,7 @@ def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> EnsembleCon
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args, args.delta)
-    model = _build_model(args)
+    model, model_keys = _build_model(args)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_max, step=args.dt)
     kind = ChannelKind(args.channel)
     definition = Definition(args.definition)
@@ -229,10 +249,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         "channel": kind.value,
         "definition": definition.value,
         "form": form.value,
-        "model": model.label(),
-        **model.params(),
-        # a tabulated model's own t_start/t_end/step keys keep their place
-        # and take the curve grid's values
+        # a kappa file's own t_start/t_end/step are written as kappa_t_start,
+        # kappa_t_end and kappa_step, beside the curve grid's keys
+        **{("kappa_" + k if k in _GRID_KEYS else k): v for k, v in model_keys.items()},
         "t_start": grid.t_start,
         "t_end": grid.t_end,
         "step": grid.step,
@@ -252,7 +271,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 def _cmd_death_times(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    model = _build_model(args)
+    model, model_keys = _build_model(args)
     definition = Definition(args.definition)
     kind = ChannelKind(args.channel)
     form = Form(args.form)
@@ -270,8 +289,7 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
         "channel": kind.value,
         "definition": definition.value,
         "form": form.value,
-        "model": model.label(),
-        **model.params(),
+        **model_keys,
         "alpha_auto": args.alpha is None,
     }
     params.update(_timestamp_params(args.reproducible))

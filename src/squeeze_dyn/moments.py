@@ -46,11 +46,20 @@ class CollectiveMoments:
         return float(np.trace(self.corr))
 
 
+def _cross(a: list[float], b: list[float]) -> list[float]:
+    """a x b of two 3-vectors, term for term the products and differences
+    ``np.cross`` evaluates, without its array overhead."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
 def _perp_frame(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    ref = np.array([1.0, 0.0, 0.0]) if abs(n[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(n, ref)
+    u = n.tolist()
+    ref = [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0]
+    e1 = np.array(_cross(u, ref))
     e1 /= np.linalg.norm(e1)
-    return e1, np.cross(n, e1)
+    return e1, np.array(_cross(u, e1.tolist()))
 
 
 def xi2_from_moments(m: CollectiveMoments) -> float:

@@ -25,7 +25,7 @@ the N = 10 density matrix.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -294,7 +294,7 @@ def _superoperator(s: float, b: float, c: float, delta: float) -> np.ndarray:
 
 
 def integrate_single_qubit_generator(
-    params: LindbladParams,
+    params: LindbladParams | Sequence[LindbladParams],
     chi0: np.ndarray,
     t: float,
     delta: float = 0.0,
@@ -305,15 +305,26 @@ def integrate_single_qubit_generator(
     step).
 
     ``chi0`` is one 2x2 matrix or a (k, 2, 2) batch, integrated together
-    and returned in the same shape. ``rate_scale`` makes the generator
+    and returned in the same shape. ``params`` may also be a sequence of
+    generators; ``chi0`` then carries a leading axis of the same length,
+    entry i is evolved under ``params[i]``, and all of them advance in one
+    loop at one shared step. ``rate_scale`` makes the generator
     time-local: both b and c are multiplied by rate_scale(t), which may go
     negative over intervals (information backflow). The default step is
-    1e-3 / max(b, c, |delta|). A t that is not finite and nonnegative, a
-    step that is not finite and positive, or more than ``MAX_GRID_NODES``
-    steps raises ``ValidationError`` before any step. Raises
-    StepInstability if the trace of any matrix drifts from 1 by more than
-    1e-8.
+    1e-3 / max(b, c, |delta|), with the largest b and c of the sequence.
+    A t that is not finite and nonnegative, a step that is not finite and
+    positive, more than ``MAX_GRID_NODES`` steps, or a sequence whose
+    length is not that of ``chi0``'s leading axis raises
+    ``ValidationError`` before any step. Raises StepInstability if the
+    trace of any matrix drifts from 1 by more than 1e-8.
     """
+    batch = not isinstance(params, LindbladParams)
+    plist = list(params) if batch else [params]
+    if batch and not (plist and chi0.ndim >= 3 and chi0.shape[0] == len(plist)):
+        raise ValidationError(
+            f"{len(plist)} generators need chi0 of shape ({len(plist)}, ..., 2, 2), "
+            f"got {chi0.shape}"
+        )
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError(f"t must be finite and nonnegative, got {t!r}")
     if step is not None and not (math.isfinite(step) and step > 0):
@@ -321,7 +332,7 @@ def integrate_single_qubit_generator(
     chi = chi0.astype(complex, copy=True)
     if t == 0.0:
         return chi
-    scale_max = max(params.b, params.c, abs(delta), 1e-12)
+    scale_max = max(max(p.b, p.c, abs(delta), 1e-12) for p in plist)
     h = step if step is not None else 1e-3 / scale_max
     # the ratio test also catches a step so small that t / h overflows
     if not t / h <= MAX_GRID_NODES:
@@ -329,15 +340,25 @@ def integrate_single_qubit_generator(
     n_steps = max(1, int(math.ceil(t / h)))
     h = t / n_steps
 
-    # the right-hand side is L_delta + r(tau) * L_bc, linear in (b, c)
-    l_delta = _superoperator(params.s, 0.0, 0.0, delta)
-    l_bc = _superoperator(params.s, params.b, params.c, 0.0)
+    # the right-hand side is L_delta + r(tau) * L_bc, linear in (b, c);
+    # a batch stacks them, one (4, 4) pair per generator
+    l_delta = np.stack([_superoperator(p.s, 0.0, 0.0, delta) for p in plist])
+    l_bc = np.stack([_superoperator(p.s, p.b, p.c, 0.0) for p in plist])
+    x = chi.reshape(len(plist), -1, 4)
+    if not batch:
+        l_delta, l_bc, x = l_delta[0], l_bc[0], x[0]
 
-    def rhs(tau: float, x: np.ndarray) -> np.ndarray:
-        r = rate_scale(tau) if rate_scale is not None else 1.0
-        return x @ (l_delta + r * l_bc)
+    if rate_scale is None:
+        l_const = l_delta + 1.0 * l_bc
 
-    x = chi.reshape(-1, 4)
+        def rhs(tau: float, x: np.ndarray) -> np.ndarray:
+            return x @ l_const
+
+    else:
+
+        def rhs(tau: float, x: np.ndarray) -> np.ndarray:
+            return x @ (l_delta + rate_scale(tau) * l_bc)
+
     tau = 0.0
     for _ in range(n_steps):
         k1 = rhs(tau, x)
@@ -346,7 +367,7 @@ def integrate_single_qubit_generator(
         k4 = rhs(tau + h, x + h * k3)
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         tau += h
-    drift = float(np.max(np.abs(x[:, 0] + x[:, 3] - 1.0)))
+    drift = float(np.max(np.abs(x[..., 0] + x[..., 3] - 1.0)))
     if drift > 1e-8:
         raise StepInstability(f"trace drifted by {drift}; reduce the step")
     return x.reshape(chi.shape)

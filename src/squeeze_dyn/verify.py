@@ -37,6 +37,13 @@ __all__ = ["CaseResult", "GeneratorFit", "VerificationReport", "run_verification
 DEFAULT_ALPHAS = (0.05, 0.2, 0.5)
 DEFAULT_KAPPAS = (1.0, 0.7, 0.3, -0.4)
 
+#: the constant-rate generator each channel is fitted to
+_GENERATORS = {
+    ChannelKind.DEPHASING: LindbladParams.dephasing,
+    ChannelKind.DEPOLARIZING: LindbladParams.depolarizing,
+    ChannelKind.DAMPING: LindbladParams.damping,
+}
+
 
 @dataclass(frozen=True)
 class CaseResult:
@@ -170,45 +177,44 @@ def _random_densities(rng: np.random.Generator, count: int) -> list[np.ndarray]:
     return out
 
 
-def _fit_generator(
-    kind: ChannelKind, rate: float, t: float, tolerance: float
-) -> GeneratorFit:
-    if kind is ChannelKind.DEPHASING:
-        params = LindbladParams.dephasing(rate)
-    elif kind is ChannelKind.DEPOLARIZING:
-        params = LindbladParams.depolarizing(rate)
-    else:
-        params = LindbladParams.damping(rate)
-
+def _fit_generators(rate: float, t: float, tolerance: float) -> list[GeneratorFit]:
+    """One fit per channel, in ``ChannelKind`` order, from one batched
+    integration of the three generators."""
+    params = [_GENERATORS[kind](rate) for kind in ChannelKind]
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     up = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    # the fit state and 8 random densities, integrated as one batch
-    fit_state = up if kind is ChannelKind.DAMPING else plus
+    # per channel: the fit state and 8 random densities
     randoms = _random_densities(np.random.default_rng(20240917), 8)
-    evolved = integrate_single_qubit_generator(params, np.stack([fit_state, *randoms]), t)
-    chi_t = evolved[0]
-    if kind is ChannelKind.DAMPING:
-        # fit from the excited population decay
-        kappa_fit = math.sqrt(chi_t[1, 1].real)
-    else:
-        # fit from the off-diagonal decay (dephasing) or the Bloch-vector
-        # contraction (depolarizing)
-        kappa_fit = math.sqrt(abs(chi_t[0, 1]) / 0.5)
-
-    worst = 0.0
-    for chi0, via_gen in zip(randoms, evolved[1:]):
-        via_map = apply_channel(chi0, kind, kappa_fit)
-        worst = max(worst, float(np.max(np.abs(via_gen - via_map))))
-    exponent_ratio = -math.log(kappa_fit) / (rate * t)
-    return GeneratorFit(
-        channel=kind,
-        rate=rate,
-        t=t,
-        kappa_fit=kappa_fit,
-        exponent_ratio=exponent_ratio,
-        max_state_delta=worst,
-        tolerance=tolerance,
+    chi0 = np.stack(
+        [np.stack([up if kind is ChannelKind.DAMPING else plus, *randoms]) for kind in ChannelKind]
     )
+    fits = []
+    for kind, evolved in zip(ChannelKind, integrate_single_qubit_generator(params, chi0, t)):
+        chi_t = evolved[0]
+        if kind is ChannelKind.DAMPING:
+            # fit from the excited population decay
+            kappa_fit = math.sqrt(chi_t[1, 1].real)
+        else:
+            # fit from the off-diagonal decay (dephasing) or the Bloch-vector
+            # contraction (depolarizing)
+            kappa_fit = math.sqrt(abs(chi_t[0, 1]) / 0.5)
+
+        worst = 0.0
+        for rho0, via_gen in zip(randoms, evolved[1:]):
+            via_map = apply_channel(rho0, kind, kappa_fit)
+            worst = max(worst, float(np.max(np.abs(via_gen - via_map))))
+        fits.append(
+            GeneratorFit(
+                channel=kind,
+                rate=rate,
+                t=t,
+                kappa_fit=kappa_fit,
+                exponent_ratio=-math.log(kappa_fit) / (rate * t),
+                max_state_delta=worst,
+                tolerance=tolerance,
+            )
+        )
+    return fits
 
 
 def _ensemble_cases(
@@ -283,7 +289,6 @@ def run_verification(
             )
 
     if include_generator:
-        for kind in ChannelKind:
-            report.generator_fits.append(_fit_generator(kind, rate=0.01, t=35.0, tolerance=tolerance))
+        report.generator_fits = _fit_generators(rate=0.01, t=35.0, tolerance=tolerance)
 
     return report

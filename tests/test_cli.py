@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -359,7 +360,8 @@ def test_tabulated_kappa_round_trips_through_csv(tmp_path):
     header = parse_header(kfile.read_text())
     assert header["kind"] == "kappa" and header["schema"] == "squeeze-dyn/1"
     assert header["model"] == "test"
-    model = _load_tabulated(str(kfile))
+    model, digest = _load_tabulated(str(kfile))
+    assert digest == hashlib.sha256(kfile.read_bytes()).hexdigest()
     assert model.grid == grid
     np.testing.assert_array_equal(model.values, values)
 
@@ -388,6 +390,20 @@ def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, reason, capsys):
     )
     assert code == 2
     assert reason in capsys.readouterr().err
+
+
+def test_kappa_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    kfile = tmp_path / "k.csv"
+    kfile.write_bytes(b"# kappa schema=squeeze-dyn/1\nt,kappa\n0,1\n0.5,0.5\xff\n")
+    code = run(
+        [
+            "evolve", "--n", "10", "--channel", "dephasing",
+            "--kappa", "tabulated", "--kappa-file", str(kfile),
+            "--t-max", "0.5", "--dt", "0.5", "--reproducible",
+        ]
+    )
+    assert code == 2
+    assert "not UTF-8" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -595,8 +611,9 @@ def test_evolve_header_bytes_lorentzian(capsys):
 
 
 def test_evolve_header_bytes_tabulated_grid_keys(tmp_path, capsys):
-    # the model's own t_start/t_end/step keys keep their place and take
-    # the curve grid's values, not the kappa file's (t_end 2, step 0.5)
+    # the header names the kappa file by the digest of its bytes and keeps
+    # its own grid (t_end 2, step 0.5) under kappa_ keys, beside the curve
+    # grid's t_start/t_end/step
     kfile = tmp_path / "kappa.csv"
     with open(kfile, "w") as fp:
         values = np.array([1.0, 0.9, 0.7, 0.4, 0.1])
@@ -616,11 +633,39 @@ def test_evolve_header_bytes_tabulated_grid_keys(tmp_path, capsys):
         "# definition = xi",
         "# form = reference",
         "# model = tabulated",
+        f"# kappa_sha256 = {hashlib.sha256(kfile.read_bytes()).hexdigest()}",
+        "# kappa_t_start = 0",
+        "# kappa_t_end = 2",
+        "# kappa_step = 0.5",
         "# t_start = 0",
         "# t_end = 1",
         "# step = 0.25",
         "# alpha_auto = false",
     ]
+
+
+def test_death_times_tabulated_params_name_the_kappa_file(tmp_path):
+    kfile = tmp_path / "kappa.csv"
+    with open(kfile, "w") as fp:
+        values = np.array([1.0, 0.9, 0.7, 0.4, 0.1])
+        KappaSeries(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp, params={"model": "test"})
+    out = tmp_path / "death.json"
+    args = [
+        "death-times", "--n", "4", "--alpha", "0.3", "--channel", "depolarizing",
+        "--kappa", "tabulated", "--kappa-file", str(kfile), "--t-max", "2",
+        "--reproducible", "-o", str(out),
+    ]
+    assert run(args) == 0
+    params = json.loads(out.read_text())["params"]
+    assert list(params)[5:10] == ["model", "kappa_sha256", "t_start", "t_end", "step"]
+    assert params["kappa_sha256"] == hashlib.sha256(kfile.read_bytes()).hexdigest()
+    assert (params["t_start"], params["t_end"], params["step"]) == (0.0, 2.0, 0.5)
+    # the digest follows the bytes: one changed value gives another
+    with open(kfile, "w") as fp:
+        values = np.array([1.0, 0.9, 0.7, 0.4, 0.2])
+        KappaSeries(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp, params={"model": "test"})
+    assert run(args) == 0
+    assert json.loads(out.read_text())["params"]["kappa_sha256"] != params["kappa_sha256"]
 
 
 @pytest.mark.parametrize("command", ["evolve", "death-times"])

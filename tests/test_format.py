@@ -5,6 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from squeeze_dyn import (
+    ChannelKind,
+    LorentzianClosedForm,
+    MarkovianExponential,
+    ReservoirConfig,
+    curve_evaluator,
+    death_report,
+)
 from squeeze_dyn._format import (
     CHUNK_ROWS,
     SCHEMA,
@@ -12,7 +20,9 @@ from squeeze_dyn._format import (
     write_csv,
     write_header,
     write_json,
+    write_report,
 )
+from squeeze_dyn.verify import run_verification
 
 
 def _per_cell_csv(kind, params, columns, rows):
@@ -85,3 +95,59 @@ def test_write_json_one_column_matches_json_dump(rows):
     fp = io.StringIO()
     write_json(fp, "kappa", {}, ["t"], rows)
     assert fp.getvalue() == _json_dump("kappa", {}, ["t"], rows)
+
+
+def _death_report():
+    model = LorentzianClosedForm(res=ReservoirConfig(gamma=0.01, eta0=10.0))
+    report = death_report(
+        curve_evaluator(10, 0.2, ChannelKind.DEPHASING, model),
+        400.0,
+        0.05,
+        params={"n": 10, "alpha": 0.2, "model": "lorentzian", "alpha_auto": False},
+    )
+    markov = curve_evaluator(10, 0.2, ChannelKind.DEPHASING, MarkovianExponential(rate=0.005))
+    report["markovian_comparison"] = death_report(markov, 400.0, 0.05, params={"rate": 0.005})
+    return report
+
+
+def _reports():
+    return {
+        "verify": run_verification(max_n=5, tolerance=1e-8).to_json(),
+        "death-times": _death_report(),
+        "non-finite": {"values": [math.inf, -math.inf, math.nan, -0.0], "edge": -math.inf},
+        "empty": {"d": {}, "l": [], "nested": [[], [[]], [{}], [[1.5, {}], []]], "rows": [{}, {}]},
+        "same-keys-other-order": {"rows": [{"a": 1.0, "b": 2}, {"b": 3, "a": 4.0}]},
+        "other-keys": [{"a": 1}, {"b": 2}, {"a": 1, "b": 2}, {"a": 1}],
+        "scalars": {
+            "text": "\u00e9t\u00e9 \u2603 \"quoted\" \\ 100% %s\n",
+            "none": None,
+            "flags": [True, False],
+            "big": 3**200,
+            "keys": {1: "int", 2.5: "float", None: "null", False: "bool"},
+        },
+        "beyond-one-chunk": [
+            {"n": i, "x%s": i / 7, "definition": "inf", "odd": i % 2 == 1,
+             "v": (math.nan, -0.0)[i % 2]}
+            for i in range(2 * CHUNK_ROWS + 3)
+        ],
+        "mixed-column": [{"v": 1.0}, {"v": None}, {"v": 2}, {"v": "inf"}, {"v": math.inf}],
+        "scalar": 0.1,
+    }
+
+
+@pytest.mark.parametrize("name", list(_reports()))
+def test_write_report_bytes_match_json_dump(name):
+    report = _reports()[name]
+    fp = io.StringIO()
+    write_report(fp, report)
+    want = io.StringIO()
+    json.dump(report, want, indent=1)
+    assert fp.getvalue() == want.getvalue()
+
+
+def test_write_report_rejects_what_json_rejects():
+    for bad in ({"x": np.int64(3)}, [{"a": {1, 2}}], {(1, 2): 0.0}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=1)
+        with pytest.raises(TypeError):
+            write_report(io.StringIO(), bad)

@@ -392,6 +392,64 @@ def test_generator_batch_instability_detected():
         integrate_single_qubit_generator(params, np.stack([down, UP]), 240.0, step=6.0)
 
 
+def _three_channels(rate):
+    return [
+        LindbladParams.dephasing(rate),
+        LindbladParams.depolarizing(rate),
+        LindbladParams.damping(rate),
+    ]
+
+
+@pytest.mark.parametrize("rate_scale", [None, lambda tau: math.cos(0.8 * tau)])
+def test_generator_params_batch_equals_per_params_calls(rate_scale):
+    # the three channels at one shared step, each on its own set of states
+    rng = np.random.default_rng(11)
+    params = _three_channels(0.2)
+    chi0 = np.stack(
+        [np.stack([PLUS, UP] + [random_density(rng) for _ in range(3)]) for _ in params]
+    )
+    kwargs = dict(delta=0.3, rate_scale=rate_scale)
+    out = integrate_single_qubit_generator(params, chi0, 5.0, **kwargs)
+    assert out.shape == chi0.shape
+    for p, states, chi in zip(params, chi0, out):
+        single = integrate_single_qubit_generator(p, states, 5.0, **kwargs)
+        assert np.array_equal(chi, single)
+    # one 2x2 state per generator keeps that shape
+    one_each = integrate_single_qubit_generator(params, chi0[:, 0], 5.0, **kwargs)
+    assert one_each.shape == (3, 2, 2)
+    assert np.array_equal(one_each, out[:, 0])
+
+
+def test_generator_params_batch_shares_the_largest_step():
+    # dephasing alone at rate 0.1 would step 1e-2; beside damping at rate 1
+    # it steps 1e-3, the step a single call takes when given it
+    params = [LindbladParams.dephasing(0.1), LindbladParams.damping(1.0)]
+    chi0 = np.stack([PLUS, UP])
+    out = integrate_single_qubit_generator(params, chi0, 2.0)
+    shared = integrate_single_qubit_generator(params[0], PLUS, 2.0, step=1e-3)
+    assert np.array_equal(out[0], shared)
+
+
+def test_generator_params_batch_length_mismatch_is_rejected():
+    params = _three_channels(0.1)
+    for chi0 in (np.stack([PLUS, UP]), np.stack([PLUS] * 4), PLUS, np.stack([PLUS] * 3)[:, 0]):
+        with pytest.raises(ValidationError):
+            integrate_single_qubit_generator(params, chi0, 1.0)
+    with pytest.raises(ValidationError):
+        integrate_single_qubit_generator([], np.zeros((0, 2, 2)), 1.0)
+
+
+@pytest.mark.parametrize("unstable", [0, 1, 2])
+def test_generator_params_batch_instability_in_any_member(unstable):
+    # the ground state is a fixed point of damping; the excited state drifts
+    down = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    params = [LindbladParams.damping(1.0)] * 3
+    chi0 = np.stack([UP if i == unstable else down for i in range(3)])
+    with pytest.raises(StepInstability):
+        integrate_single_qubit_generator(params, chi0, 240.0, step=6.0)
+    integrate_single_qubit_generator(params, np.stack([down] * 3), 240.0, step=6.0)
+
+
 def test_generator_superoperators_reproduce_rhs():
     rng = np.random.default_rng(8)
     for _ in range(20):
