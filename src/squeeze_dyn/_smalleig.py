@@ -41,8 +41,9 @@ def min_eig_sym3_entries(a00, a01, a02, a11, a12, a22):
     return np.where(diagonal, np.minimum(np.minimum(a00, a11), a22), cubic)
 
 
-def min_eig_sym3(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a real symmetric 3x3 matrix."""
-    return float(
-        min_eig_sym3_entries(m[0, 0], m[0, 1], m[0, 2], m[1, 1], m[1, 2], m[2, 2])
+def min_eig_sym3(m: np.ndarray):
+    """Smallest eigenvalue of a real symmetric 3x3 matrix, or of each
+    matrix of a (..., 3, 3) stack."""
+    return min_eig_sym3_entries(
+        m[..., 0, 0], m[..., 0, 1], m[..., 0, 2], m[..., 1, 1], m[..., 1, 2], m[..., 2, 2]
     )

@@ -333,8 +333,16 @@ def _kappa_map(
     the same shape; divergences are tagged +inf and an undefined
     eigenvalue-form denominator raises ``DegenerateDenominator``.
     """
+    return _form_map(n, oat_coefficients(n, alpha), kind, definition, form)
+
+
+def _form_map(
+    n: int, co: OatCoefficients, kind: ChannelKind, definition: Definition, form: Form
+) -> Callable:
+    """``_kappa_map`` from the (n, alpha) pair's coefficients, for a caller
+    that builds several maps of one pair."""
     build = _reference_map if form is Form.REFERENCE else _exact_map
-    return build(n, oat_coefficients(n, alpha), kind, definition)
+    return build(n, co, kind, definition)
 
 
 def channel_xi2(

@@ -335,9 +335,12 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(max_n=args.max_n, tolerance=args.tolerance)
+    # with the report on stdout, the summary goes to stderr so that stdout
+    # stays one JSON document
+    summary = sys.stderr if args.output == "-" else sys.stdout
     for line in report.summary_lines():
-        print(line)
-    if args.output:
+        print(line, file=summary)
+    if args.output is not None:
         _emit(args.output, lambda fp: write_report(fp, report.to_json()))
     if not report.all_passed:
         raise VerificationFailure(

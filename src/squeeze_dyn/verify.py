@@ -3,8 +3,10 @@ computation.
 
 Runs the full matrix of channels x definitions x (N, alpha, kappa): the
 Form.EXACT closed forms must match the moments of the decohered state,
-computed from its one- and two-qubit reduced states, to tolerance; the Form.REFERENCE values are recorded alongside with their
-deviation (they are not exact expectation values and are not gated).
+computed from its one- and two-qubit reduced states (every case of the
+matrix in one stacked pass), to tolerance; the Form.REFERENCE values are
+recorded alongside with their deviation (they are not exact expectation
+values and are not gated).
 Also fits the decoherence parameter that makes each operator-sum channel
 reproduce the constant-rate generator evolution, and reports the fitted
 exponent per unit rate.
@@ -18,18 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._format import SCHEMA
-from .analytic import Form, _kappa_map, xi2_oat
+from .analytic import Form, _form_map, oat_coefficients, xi2_oat
 from .errors import ValidationError
 from .model import ChannelKind, Definition, LindbladParams
+from .moments import _xi2_prime_rows, _xi2_rows
 from .oracle import (
     N_CAP,
+    _moment_rows,
     apply_channel,
     build_oat_state,
     integrate_single_qubit_generator,
-    moments_from_reduced,
     reduced_sums,
-    xi2_from_moments,
-    xi2_prime_from_moments,
 )
 
 __all__ = ["CaseResult", "GeneratorFit", "VerificationReport", "run_verification"]
@@ -168,13 +169,13 @@ class VerificationReport:
         return lines
 
 
-def _random_densities(rng: np.random.Generator, count: int) -> list[np.ndarray]:
+def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
     out = []
     for _ in range(count):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = a @ a.conj().T
         out.append(rho / np.trace(rho).real)
-    return out
+    return np.stack(out)
 
 
 def _fit_generators(rate: float, t: float, tolerance: float) -> list[GeneratorFit]:
@@ -185,9 +186,10 @@ def _fit_generators(rate: float, t: float, tolerance: float) -> list[GeneratorFi
     up = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     # per channel: the fit state and 8 random densities
     randoms = _random_densities(np.random.default_rng(20240917), 8)
-    chi0 = np.stack(
-        [np.stack([up if kind is ChannelKind.DAMPING else plus, *randoms]) for kind in ChannelKind]
-    )
+    chi0 = np.stack([
+        np.concatenate([[up if kind is ChannelKind.DAMPING else plus], randoms])
+        for kind in ChannelKind
+    ])
     fits = []
     for kind, evolved in zip(ChannelKind, integrate_single_qubit_generator(params, chi0, t)):
         chi_t = evolved[0]
@@ -199,10 +201,7 @@ def _fit_generators(rate: float, t: float, tolerance: float) -> list[GeneratorFi
             # contraction (depolarizing)
             kappa_fit = math.sqrt(abs(chi_t[0, 1]) / 0.5)
 
-        worst = 0.0
-        for rho0, via_gen in zip(randoms, evolved[1:]):
-            via_map = apply_channel(rho0, kind, kappa_fit)
-            worst = max(worst, float(np.max(np.abs(via_gen - via_map))))
+        via_map = apply_channel(randoms, kind, np.full(len(randoms), kappa_fit))
         fits.append(
             GeneratorFit(
                 channel=kind,
@@ -210,53 +209,72 @@ def _fit_generators(rate: float, t: float, tolerance: float) -> list[GeneratorFi
                 t=t,
                 kappa_fit=kappa_fit,
                 exponent_ratio=-math.log(kappa_fit) / (rate * t),
-                max_state_delta=worst,
+                max_state_delta=float(np.max(np.abs(evolved[1:] - via_map))),
                 tolerance=tolerance,
             )
         )
     return fits
 
 
-def _ensemble_cases(
-    n: int, alpha: float, kappas: tuple[float, ...], tolerance: float
+def _case_matrix(
+    ensembles: list[tuple[int, float]], kappas: tuple[float, ...], tolerance: float
 ) -> list[CaseResult]:
-    # per-qubit channels commute with the partial trace: reduce the pure
-    # state once, then decohere the 2x2 and 4x4 sums
-    one, pair = reduced_sums(build_oat_state(n, alpha), n)
+    """Every case of the (n, alpha) ensembles in report order: ensemble,
+    channel, kappa, definition. The oracle side runs as one pass of
+    stacked rows in that order."""
+    if not ensembles:
+        return []
     ks = np.array(kappas, dtype=float)
+    n_ens, n_ch, n_k = len(ensembles), len(ChannelKind), len(ks)
+    # per-qubit channels commute with the partial trace: reduce each pure
+    # state once, then decohere the 2x2 and 4x4 sums of every ensemble at
+    # every kappa, one apply_channel call per channel and size
+    sums = [reduced_sums(build_oat_state(n, alpha), n) for n, alpha in ensembles]
+    row_kappas = np.tile(ks, n_ens)
+    decohered = []
+    for size, part in ((2, 0), (4, 1)):
+        stacked = np.repeat(np.stack([s[part] for s in sums]), n_k, axis=0)
+        per_channel = [
+            apply_channel(stacked, kind, row_kappas).reshape(n_ens, n_k, size, size)
+            for kind in ChannelKind
+        ]
+        decohered.append(np.stack(per_channel, axis=1).reshape(-1, size, size))
+    n_rows = np.repeat([n for n, _ in ensembles], n_ch * n_k)
+    mean, corr = _moment_rows(*decohered, n_rows)
+    # <J^2> - N/2 is at least N/4 on these states, so scoring every row
+    # before any closed form raises no error out of case order
+    shape = (n_ens, n_ch, n_k)
+    oracle = {
+        Definition.XI: _xi2_rows(n_rows, mean, corr).reshape(shape).tolist(),
+        Definition.XI_PRIME: _xi2_prime_rows(n_rows, mean, corr).reshape(shape).tolist(),
+    }
+
     cases = []
-    for kind in ChannelKind:
-        oracle = []
-        for kappa in kappas:
-            mom = moments_from_reduced(
-                apply_channel(one, kind, kappa), apply_channel(pair, kind, kappa), n
-            )
-            oracle.append({
-                Definition.XI: xi2_from_moments(mom),
-                Definition.XI_PRIME: xi2_prime_from_moments(mom),
-            })
-        # apply_channel has rejected any |kappa| > 1 above; each closed form
-        # takes every kappa in one array call
-        closed = {
-            (definition, form): _kappa_map(n, alpha, kind, definition, form)(ks).tolist()
-            for definition in Definition
-            for form in Form
-        }
-        for i, kappa in enumerate(kappas):
-            for definition in Definition:
-                cases.append(
-                    CaseResult(
-                        n=n,
-                        alpha=alpha,
-                        kappa=kappa,
-                        channel=kind,
-                        definition=definition,
-                        oracle=oracle[i][definition],
-                        exact=closed[definition, Form.EXACT][i],
-                        reference=closed[definition, Form.REFERENCE][i],
-                        tolerance=tolerance,
+    for e, (n, alpha) in enumerate(ensembles):
+        co = oat_coefficients(n, alpha)
+        for c, kind in enumerate(ChannelKind):
+            # apply_channel has rejected any |kappa| > 1 above; each closed
+            # form takes every kappa in one array call
+            closed = {
+                (definition, form): _form_map(n, co, kind, definition, form)(ks).tolist()
+                for definition in Definition
+                for form in Form
+            }
+            for i, kappa in enumerate(kappas):
+                for definition in Definition:
+                    cases.append(
+                        CaseResult(
+                            n=n,
+                            alpha=alpha,
+                            kappa=kappa,
+                            channel=kind,
+                            definition=definition,
+                            oracle=oracle[definition][e][c][i],
+                            exact=closed[definition, Form.EXACT][i],
+                            reference=closed[definition, Form.REFERENCE][i],
+                            tolerance=tolerance,
+                        )
                     )
-                )
     return cases
 
 
@@ -276,9 +294,7 @@ def run_verification(
     if ns is None:
         ns = tuple(n for n in (2, 3, 4, 5, 6, 8, 10, 12, 14, 16) if n <= max_n)
     report = VerificationReport(tolerance=tolerance)
-    for n in ns:
-        for alpha in alphas:
-            report.cases.extend(_ensemble_cases(n, alpha, kappas, tolerance))
+    report.cases = _case_matrix([(n, alpha) for n in ns for alpha in alphas], kappas, tolerance)
 
     # two-particle reduction: the variance form collapses to 1/(1 + sin a)
     if 2 in ns:

@@ -203,6 +203,24 @@ def test_verify_small_matrix_passes(tmp_path):
     assert ratios == pytest.approx([0.5, 0.5, 0.5], abs=1e-6)
 
 
+def test_verify_report_on_stdout_is_json(tmp_path, capsys):
+    assert run(["verify", "--max-n", "3", "-o", "-"]) == 0
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert payload["all_passed"] is True
+    # the summary goes to stderr, and a file report writes the same bytes
+    assert captured.err.splitlines()[-1] == "PASS"
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--max-n", "3", "-o", str(out)]) == 0
+    assert out.read_text() == captured.out
+    assert capsys.readouterr().out.splitlines()[-1] == "PASS"
+
+
+def test_verify_empty_output_path_is_io_error(capsys):
+    assert run(["verify", "--max-n", "2", "-o", ""]) == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_verify_rejects_oversized_n():
     assert run(["verify", "--max-n", "17"]) == 2
 

@@ -26,12 +26,15 @@ from squeeze_dyn.errors import (
 )
 from squeeze_dyn.analytic import Form, channel_xi2
 from squeeze_dyn.kappa import ReservoirConfig, kappa_lorentzian
+from squeeze_dyn._smalleig import min_eig_sym2, min_eig_sym3
+from squeeze_dyn.moments import _xi2_prime_rows, _xi2_rows
 from squeeze_dyn.oracle import (
     N_CAP,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
     _generator_rhs,
+    _moment_rows,
     _superoperator,
     moments_from_reduced,
     reduced_sums,
@@ -478,3 +481,225 @@ def test_moments_contraction_matches_trace_loop():
     m = moments_from_reduced(one, pair, n)
     np.testing.assert_allclose(m.mean_spin, mean, rtol=0, atol=1e-14)
     np.testing.assert_allclose(m.corr, 0.25 * (n * np.eye(3) + cross + cross.T), rtol=0, atol=1e-14)
+
+
+# --- the batched oracle against the per-case formulas ---
+#
+# The oracle decoheres and scores stacks of rows; these are the per-case
+# formulas it replaced, kept as the reference. Every row of a stack must
+# round exactly as the reference does on that row alone.
+
+BIT_KAPPAS = (1.0, 0.7, 0.3, -0.4, 0.0, -1.0)
+
+
+def kraus_reference(kind, kappa):
+    k2 = kappa * kappa
+    if kind is ChannelKind.DEPHASING:
+        return [
+            math.sqrt((1.0 + k2) / 2.0) * np.eye(2, dtype=complex),
+            math.sqrt((1.0 - k2) / 2.0) * SIGMA_Z,
+        ]
+    if kind is ChannelKind.DEPOLARIZING:
+        p = (1.0 - k2) / 4.0
+        return [
+            math.sqrt((1.0 + 3.0 * k2) / 4.0) * np.eye(2, dtype=complex),
+            math.sqrt(p) * SIGMA_X,
+            math.sqrt(p) * SIGMA_Y,
+            math.sqrt(p) * SIGMA_Z,
+        ]
+    e0 = np.array([[1.0, 0.0], [0.0, kappa]], dtype=complex)
+    e1 = np.array([[0.0, math.sqrt(1.0 - k2)], [0.0, 0.0]], dtype=complex)
+    return [e0, e1]
+
+
+def apply_channel_reference(rho, kind, kappa):
+    n = int(round(math.log2(rho.shape[0])))
+    ops = kraus_reference(kind, kappa)
+    out = rho.astype(complex, copy=True)
+    for q in range(n):
+        view = out.reshape(2**q, 2, 2 ** (n - 1 - q), 2**q, 2, 2 ** (n - 1 - q))
+        acc = np.zeros_like(view)
+        for e in ops:
+            acc += np.einsum("ab,ubvxcy,dc->uavxdy", e, view, e.conj())
+        out = acc.reshape(rho.shape)
+    return out
+
+
+def moments_reference(one, pair, n):
+    paulis = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+    pairs = np.einsum("aij,bkl->abikjl", paulis, paulis).reshape(3, 3, 4, 4)
+    mean = 0.5 * np.einsum("aij,ji->a", paulis, one).real
+    cross = np.einsum("abij,ji->ab", pairs, pair).real
+    return mean, 0.25 * (n * np.eye(3) + cross + cross.T)
+
+
+def xi2_reference(n, mean, corr):
+    mag = float(np.linalg.norm(mean))
+    if mag <= 1e-12:
+        return math.inf
+    u = (mean / mag).tolist()
+    ref = [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0]
+
+    def cross(a, b):
+        return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+    e1 = np.array(cross(u, ref))
+    e1 /= np.linalg.norm(e1)
+    e2 = np.array(cross(u, e1.tolist()))
+    p11, p22, p12 = float(e1 @ corr @ e1), float(e2 @ corr @ e2), float(e1 @ corr @ e2)
+    return n * float(min_eig_sym2(p11, p12, p22)) / mag**2
+
+
+def xi2_prime_reference(n, mean, corr):
+    den = float(np.trace(corr)) - n / 2.0
+    if den <= 1e-12:
+        return None
+    gamma = (n - 1) * (corr - np.outer(mean, mean)) + corr
+    # one 3x3 matrix: its entries are 0-d arrays, squared by a product as
+    # a stack's are (numpy scalars would square through libm pow)
+    return float(min_eig_sym3(gamma)) / den
+
+
+def verify_sums():
+    for n in range(2, 13):
+        for alpha in DEFAULT_ALPHAS:
+            yield n, reduced_sums(build_oat_state(n, alpha), n)
+
+
+def random_sums(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 13))
+        one = n * random_density(rng)
+        pair = n * (n - 1) / 2 * random_density(rng, 4)
+        yield n, (one, pair)
+
+
+@pytest.mark.parametrize("source", ["verify", "random"])
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_batched_oracle_rounds_as_the_per_case_formulas(source, kind):
+    sums = list(verify_sums() if source == "verify" else random_sums(23, 40))
+    ks = np.tile(BIT_KAPPAS, len(sums))
+    ns = np.repeat([n for n, _ in sums], len(BIT_KAPPAS))
+    decohered = []
+    for part in (0, 1):
+        stacked = np.repeat(np.stack([s[part] for _, s in sums]), len(BIT_KAPPAS), axis=0)
+        decohered.append(apply_channel(stacked, kind, ks))
+    mean, corr = _moment_rows(*decohered, ns)
+    xi = _xi2_rows(ns, mean, corr)
+    rows = [(n, s, kappa) for n, s in sums for kappa in BIT_KAPPAS]
+    prime_rows, prime_want = [], []
+    for r, (n, (one, pair), kappa) in enumerate(rows):
+        one_k = apply_channel_reference(one, kind, kappa)
+        pair_k = apply_channel_reference(pair, kind, kappa)
+        assert np.array_equal(decohered[0][r], one_k)
+        assert np.array_equal(decohered[1][r], pair_k)
+        # a float kappa and one matrix take the same path as a batch of one
+        assert np.array_equal(apply_channel(pair, kind, kappa), pair_k)
+        want_mean, want_corr = moments_reference(one_k, pair_k, n)
+        assert np.array_equal(mean[r], want_mean) and np.array_equal(corr[r], want_corr)
+        assert xi[r] == xi2_reference(n, want_mean, want_corr)
+        prime = xi2_prime_reference(n, want_mean, want_corr)
+        if prime is not None:
+            prime_rows.append(r)
+            prime_want.append(prime)
+    assert len(prime_rows) >= len(rows) // 2
+    got = _xi2_prime_rows(ns[prime_rows], mean[prime_rows], corr[prime_rows])
+    assert got.tolist() == prime_want
+    if source == "verify" and kind is ChannelKind.DEPOLARIZING:
+        # kappa = 0 leaves the maximally mixed state, whose mean spin vanishes
+        assert math.isinf(xi[BIT_KAPPAS.index(0.0)])
+
+
+def test_batched_squeezing_rounds_as_the_per_case_formulas_on_many_rows():
+    # about 1 in 1,000 squares taken by libm pow, as the per-case xi took
+    # |<J>|^2, differ in the last bit from a product: it takes many rows
+    # to see one
+    rng = np.random.default_rng(31)
+    count = 4000
+    ns = rng.integers(2, 200, size=count)
+    mean = rng.normal(size=(count, 3)) * rng.choice([1e-3, 1.0, 30.0], size=(count, 1))
+    a = rng.normal(size=(count, 3, 3))
+    corr = np.matmul(a, a.transpose(0, 2, 1)) + ns[:, None, None] * np.eye(3)
+    xi = _xi2_rows(ns, mean, corr)
+    prime = _xi2_prime_rows(ns, mean, corr)
+    for r in range(count):
+        assert xi[r] == xi2_reference(ns[r], mean[r], corr[r])
+        assert prime[r] == xi2_prime_reference(ns[r], mean[r], corr[r])
+
+
+def test_batched_xi2_of_a_zero_mean_row_is_inf():
+    ns = np.array([4, 4])
+    mean = np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    corr = np.stack([np.eye(3), np.eye(3)])
+    xi = _xi2_rows(ns, mean, corr)
+    assert xi[0] == math.inf
+    assert xi[1] == xi2_reference(4, mean[1], corr[1])
+
+
+def test_batched_xi2_prime_raises_on_the_first_degenerate_row():
+    ns = np.array([2, 2, 2])
+    # <J^2> - N/2 = tr C - 1 is 2, then 0, then -1.5
+    corr = np.stack([np.eye(3), np.diag([0.5, 0.5, 0.0]), np.diag([0.0, 0.0, -0.5])])
+    with pytest.raises(DegenerateDenominator, match="= 0.0 is not positive"):
+        _xi2_prime_rows(ns, np.zeros((3, 3)), corr)
+
+
+def test_verification_cases_equal_the_per_case_route():
+    rep = run_verification(max_n=8, include_generator=False)
+    cases = iter(rep.cases)
+    for n in (2, 3, 4, 5, 6, 8):
+        for alpha in DEFAULT_ALPHAS:
+            one, pair = reduced_sums(build_oat_state(n, alpha), n)
+            for kind in ChannelKind:
+                for kappa in DEFAULT_KAPPAS:
+                    m = moments_from_reduced(
+                        apply_channel(one, kind, kappa), apply_channel(pair, kind, kappa), n
+                    )
+                    for value in (xi2_from_moments(m), xi2_prime_from_moments(m)):
+                        case = next(cases)
+                        assert (case.n, case.alpha, case.kappa, case.channel) == (
+                            n, alpha, kappa, kind
+                        )
+                        assert case.oracle == value
+    assert next(cases, None) is None
+
+
+# --- apply_channel input checks ---
+
+
+@pytest.mark.parametrize(
+    "rho, kappa",
+    [
+        (np.eye(2)[None], 0.5),  # a leading axis with a float kappa
+        (np.eye(2), np.array([0.5])),  # a kappa array without one
+        (np.eye(3), 0.5),
+        (np.ones((2, 4)), 0.5),
+        (np.zeros((0, 0)), 0.5),
+        (np.ones(4), 0.5),
+        (np.stack([np.eye(2)] * 3), np.array([0.5, 0.2])),
+        (np.stack([np.eye(3)] * 2), np.array([0.5, 0.2])),
+        (np.eye(2)[None, None], np.array([[0.5]])),  # a 2-D kappa array
+    ],
+)
+def test_apply_channel_rejects_mismatched_shapes(rho, kappa):
+    with pytest.raises(ValidationError):
+        apply_channel(rho, ChannelKind.DEPHASING, kappa)
+
+
+@pytest.mark.parametrize("bad", [1.5, -1.0000001, math.nan, math.inf])
+def test_apply_channel_rejects_bad_kappa_in_an_array(bad):
+    rho = np.stack([np.eye(2) / 2] * 3)
+    with pytest.raises(InvalidKappa, match=f"got {bad}"):
+        apply_channel(rho, ChannelKind.DAMPING, np.array([0.5, bad, 2.0]))
+    with pytest.raises(InvalidKappa):
+        kraus_operators(ChannelKind.DEPOLARIZING, np.array([bad]))
+
+
+def test_kraus_stacks_match_per_kappa_operators():
+    for kind in ChannelKind:
+        stacks = kraus_operators(kind, np.array(BIT_KAPPAS))
+        for i, kappa in enumerate(BIT_KAPPAS):
+            for stack, single in zip(stacks, kraus_operators(kind, kappa)):
+                assert single.shape == (2, 2)
+                assert np.array_equal(stack[i], single)
