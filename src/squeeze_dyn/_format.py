@@ -7,8 +7,10 @@ lines and machine parseable. JSON tables and reports carry the bytes
 round-trip ``repr``, and inf and nan are written ``Infinity``,
 ``-Infinity`` and ``NaN``. Neither goes through json's pure-Python
 encoder: table rows, and the rows of a report's lists of flat dicts, are
-formatted from one '%' template ``CHUNK_ROWS`` rows at a time. Identical
-inputs produce byte-identical files in either format.
+formatted from one '%' template ``CHUNK_ROWS`` rows at a time. A table
+given as a 2-D float array is read a block of rows at a time, so no
+Python object is made per row. Identical inputs produce byte-identical
+files in either format.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import json
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 SCHEMA = "squeeze-dyn/1"
 
@@ -45,8 +49,17 @@ def write_header(fp: io.TextIOBase, kind: str, params: Mapping[str, object]) -> 
         fp.write(f"# {key} = {fmt_value(val)}\n")
 
 
-def _chunks(rows: Iterable[Sequence[float]]) -> Iterator[tuple[int, Iterator[float]]]:
-    """Yield (row count, cells in row order) for blocks of ``CHUNK_ROWS`` rows."""
+def _chunks(rows: Iterable[Sequence[float]]) -> Iterator[tuple[int, Iterable[float]]]:
+    """Yield (row count, cells in row order) for blocks of ``CHUNK_ROWS`` rows.
+
+    An ndarray's block is one ``tolist`` of its rows; any other iterable
+    is read row by row.
+    """
+    if isinstance(rows, np.ndarray):
+        for start in range(0, len(rows), CHUNK_ROWS):
+            block = rows[start:start + CHUNK_ROWS]
+            yield len(block), block.ravel().tolist()
+        return
     it = iter(rows)
     while chunk := list(islice(it, CHUNK_ROWS)):
         yield len(chunk), chain.from_iterable(chunk)
@@ -59,7 +72,10 @@ def write_csv(
     columns: Sequence[str],
     rows: Iterable[Sequence[float]],
 ) -> None:
-    """Write a '#'-headed CSV table; every row holds ``len(columns)`` numbers."""
+    """Write a '#'-headed CSV table; every row holds ``len(columns)`` numbers.
+
+    ``rows`` is a 2-D array or any iterable of rows.
+    """
     write_header(fp, kind, params)
     fp.write(",".join(columns) + "\n")
     # one format per chunk writes the same bytes as ``fmt`` per cell: '%g'
@@ -80,7 +96,8 @@ def write_json(
     ``json.dump(payload, fp, indent=1)`` writes for the same payload.
 
     Every cell must be a float (numpy float64 included) and every row hold
-    ``len(columns)`` of them. The head comes from ``json.dumps``; the rows
+    ``len(columns)`` of them; ``rows`` is a 2-D float array or any
+    iterable of rows. The head comes from ``json.dumps``; the rows
     are formatted a chunk at a time with ``float.__repr__``, which is what
     json prints for a float, then inf and nan are renamed as json names them.
     """
@@ -211,13 +228,31 @@ def write_report(fp: io.TextIOBase, report: Mapping[str, object]) -> None:
     fp.writelines(_encode(report, 0))
 
 
+def _header_lines(text: str) -> list[str]:
+    """The first lines of ``text.splitlines()``, through the first line
+    that does not start with '#' (or all of them).
+
+    Splits a prefix of ``text`` that grows until one of its lines does not
+    start with '#'. A line the cut shortens keeps its first character, and
+    the lines before it are whole.
+    """
+    size = 1024
+    while size < len(text):
+        lines = text[:size].splitlines()
+        if not all(line.startswith("#") for line in lines):
+            return lines
+        size *= 4
+    return text.splitlines()
+
+
 def parse_header(text: str) -> dict[str, str]:
     """Read the ``key = value`` header lines back into a dict.
 
-    The schema line is stored under the key ``"schema"``.
+    The schema line is stored under the key ``"schema"``. Only the leading
+    '#' lines are read; the header ends at the first line without one.
     """
     out: dict[str, str] = {}
-    for line in text.splitlines():
+    for line in _header_lines(text):
         if not line.startswith("#"):
             break
         body = line[1:].strip()

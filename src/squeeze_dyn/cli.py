@@ -10,7 +10,9 @@ identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -83,7 +85,9 @@ def _emit(path: str, writer) -> None:
             fp.close()
 
 
-def _emit_table(path: str, fmt: str, kind: str, params: dict, columns: list, rows: list) -> None:
+def _emit_table(
+    path: str, fmt: str, kind: str, params: dict, columns: list, rows: np.ndarray
+) -> None:
     """Write a table as '#'-headed CSV or as one JSON document."""
     writer = write_csv if fmt == "csv" else write_json
     _emit(path, lambda fp: writer(fp, kind, params, columns, rows))
@@ -159,22 +163,37 @@ def _load_tabulated(path: str) -> tuple[Tabulated, str]:
     with open(path, "rb") as fp:
         data = fp.read()
     digest = hashlib.sha256(data).hexdigest()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: kappa file is not UTF-8 text: {exc}") from exc
+    if b"\r" in data:  # CR or CRLF line ends read as LF
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    buf = io.BytesIO(data)
+    # the '#' header, blank lines, then the line naming the columns
+    for line in buf:
+        if line.rstrip(b"\n") and not line.startswith(b"#"):
+            break
+    header = parse_header(data[: buf.tell()].decode("utf-8"))
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: kappa file is not UTF-8 text: {exc}") from exc
-    del data  # the parse below holds the text several times over; not the bytes too
-    header = parse_header(text)
-    # the first line after the '#' header names the columns
-    body = [line for line in text.splitlines() if line and not line.startswith("#")]
-    rows = [line.split(",") for line in body[1:]]
-    if len(rows) < 2:
+        # one C-level parse of the rows: '#' comments and blank lines are
+        # skipped, columns after the second ignored, each cell read as
+        # float() reads it
+        with warnings.catch_warnings():
+            # a body without rows is reported below, not as a warning
+            warnings.simplefilter("ignore", UserWarning)
+            cells = np.loadtxt(
+                buf, delimiter=",", comments="#", usecols=(0, 1), ndmin=2, encoding="utf-8"
+            )
+    except ValueError as exc:
+        raise ValidationError(f"{path}: malformed kappa file: {exc}") from exc
+    if len(cells) < 2:
         raise ValidationError(f"{path}: need at least two (t, kappa) data rows")
+    ts, vals = np.ascontiguousarray(cells.T)
     try:
-        ts = np.array([float(r[0]) for r in rows])
-        vals = np.array([float(r[1]) for r in rows])
         step = float(header.get("step", ts[1] - ts[0]))
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"{path}: malformed kappa file: {exc}") from exc
     grid = TimeGrid(t_start=float(ts[0]), t_end=float(ts[-1]), step=step)
     nodes = grid.nodes()
@@ -264,7 +283,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         data.append(curve.markov_values)
     params.update(_timestamp_params(args.reproducible))
     params["alpha_auto"] = args.alpha is None
-    rows = np.column_stack(data).tolist()
+    rows = np.column_stack(data)
     _emit_table(args.output, args.format, "curve", params, columns, rows)
     return EXIT_OK
 
@@ -328,7 +347,7 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
         "slope_log_xi_vs_log_n": slope,
     }
     params.update(_timestamp_params(args.reproducible))
-    rows = [[float(n), alpha, xi] for n, (alpha, xi) in zip(ns, results)]
+    rows = np.column_stack((ns.astype(float), [r[0] for r in results], xi_mins))
     _emit_table(args.output, args.format, "alpha-scan", params, ["n", "alpha_star", "xi_min"], rows)
     return EXIT_OK
 

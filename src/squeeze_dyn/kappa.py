@@ -183,7 +183,7 @@ class KappaSeries:
         }
         if params:
             meta.update(params)
-        rows = np.column_stack((self.grid.nodes(), self.values)).tolist()
+        rows = np.column_stack((self.grid.nodes(), self.values))
         write_csv(fp, "kappa", meta, ["t", "kappa"], rows)
 
 
@@ -211,16 +211,19 @@ def _solve_general(fvals: np.ndarray, h: float, out: np.ndarray) -> None:
     M = fvals.shape[0]
     far = np.zeros(M)  # far-field part of each S_m
     spectra: dict[int, np.ndarray] = {}  # L -> rfft of f[0:2L], zero-padded
-    f = memoryview(fvals)  # indexing yields Python floats
+    # frev[M-1-j] = f[j]: the near-field dot reads it forward, as numpy
+    # reads a reversed view after copying it to a contiguous buffer
+    frev = fvals[::-1].copy()
+    top = M - 1
+    half_f = (0.5 * fvals).tolist()  # the same bits as 0.5 * f[j] on floats
     kap = memoryview(out)
     far_m = memoryview(far)
-    f0 = f[0]
-    kap[0] = 1.0
-    hist = 0.0  # S_n
-    for n in range(M - 1):
-        k_n = kap[n]
-        g_n = 0.0 if n == 0 else -h * (0.5 * f[n] + 0.5 * f0 * k_n + hist)
-        m = n + 1  # this step forms S_m, the corrector's sum
+    # (-h)*x, (0.5*f0)*x and (0.5*h)*x are how Python groups -h*x,
+    # 0.5*f0*x and 0.5*h*x
+    neg_h, half_h, half_f0 = -h, 0.5 * h, half_f[0]
+    kap[0] = k_n = 1.0
+    g_n = 0.0
+    for m in range(1, M):  # step m - 1 -> m forms S_m, the corrector's sum
         base = m - m % _BLOCK
         if base == m:  # block edge: add the square [m - L, m) x [m, m + L)
             L = _BLOCK
@@ -238,10 +241,12 @@ def _solve_general(fvals: np.ndarray, h: float, out: np.ndarray) -> None:
         hist = far_m[m]
         lo = max(base, 1)
         if lo < m:
-            hist += float(np.dot(fvals[m - lo:0:-1], out[lo:m]))
+            hist += float(np.dot(frev[top - m + lo:top], out[lo:m]))
+        hf_m = half_f[m]
         pred = k_n + h * g_n
-        g_p = -h * (0.5 * f[m] + 0.5 * f0 * pred + hist)
-        kap[m] = k_n + 0.5 * h * (g_n + g_p)
+        g_p = neg_h * (hf_m + half_f0 * pred + hist)
+        kap[m] = k_n = k_n + half_h * (g_n + g_p)
+        g_n = neg_h * (hf_m + half_f0 * k_n + hist)  # the next step's g_n
 
 
 def _solve_exponential(
@@ -254,23 +259,21 @@ def _solve_exponential(
     c*E_n in the predictor and c*E_{n+1} in the corrector. The end-point
     terms read the sampled ``fvals`` as the general path does.
     """
-    M = fvals.shape[0]
-    f = memoryview(fvals)  # indexing yields Python floats
+    half_f = (0.5 * fvals).tolist()
     kap = memoryview(out)
-    f0 = f[0]
+    neg_h, half_h, half_f0 = -h, 0.5 * h, half_f[0]
     r = math.exp(-gamma * h)
-    kap[0] = 1.0
-    hist = 0.0  # E_n
-    for n in range(M - 1):
-        k_n = kap[n]
-        if n == 0:
-            g_n = 0.0
-        else:
-            g_n = -h * (0.5 * f[n] + 0.5 * f0 * k_n + c * hist)
-            hist = r * (hist + k_n)
+    kap[0] = k_n = 1.0
+    g_n = 0.0
+    hist = 0.0  # E_m; E_1 is an empty sum
+    for m in range(1, len(half_f)):
+        hf_m = half_f[m]
+        c_hist = c * hist
         pred = k_n + h * g_n
-        g_p = -h * (0.5 * f[n + 1] + 0.5 * f0 * pred + c * hist)
-        kap[n + 1] = k_n + 0.5 * h * (g_n + g_p)
+        g_p = neg_h * (hf_m + half_f0 * pred + c_hist)
+        kap[m] = k_n = k_n + half_h * (g_n + g_p)
+        g_n = neg_h * (hf_m + half_f0 * k_n + c_hist)  # the next step's g_n
+        hist = r * (hist + k_n)
 
 
 def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
@@ -278,9 +281,10 @@ def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
 
     Product-trapezoidal quadrature for the history integral plus a
     second-order Heun predictor-corrector step. The kernel built by
-    ``MemoryKernel.exponential`` takes O(M) time in the node count M: its
-    history sum follows a one-term recurrence. Any other kernel takes
-    O(M log^2 M) (about 0.07 s at M = 20,001): its history sum is tiled
+    ``MemoryKernel.exponential`` takes O(M) time in the node count M
+    (about 5 ms at M = 20,001): its history sum follows a one-term
+    recurrence. Any other kernel takes O(M log^2 M) (about 0.04 s at
+    M = 20,001, one BLAS thread): its history sum is tiled
     into short direct dots and FFT products. Neither path's output depends
     on the BLAS thread setting. The grid must start at t = 0 (the history
     integral anchors there) and satisfy the stability guard

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -422,6 +423,80 @@ def test_kappa_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "not UTF-8" in capsys.readouterr().err
+
+
+_HEAD = b"# kappa schema=squeeze-dyn/1\n# step = 0.5\n"
+_ROWS = [(b"0", b"1"), (b"0.5", b"0.30000000000000004"), (b"1", b"-2.5e-3")]
+
+
+def _body(end=b"\n", between=b"", tail=b""):
+    rows = [t + b"," + k + tail for t, k in _ROWS]
+    return (b"t,kappa\n" + (b"\n" + between).join(rows) + b"\n").replace(b"\n", end)
+
+
+@pytest.mark.parametrize(
+    "data, reason",
+    [
+        (_HEAD.replace(b"\n", b"\r\n") + _body(end=b"\r\n"), None),
+        (_HEAD.replace(b"\n", b"\r") + _body(end=b"\r"), None),
+        (_HEAD + b"\n" + _body(between=b"\n# a comment line\n\n"), None),
+        # '#' starts a comment anywhere on a line
+        (_HEAD + _body(tail=b" # an inline comment"), None),
+        (_HEAD + _body(tail=b",7,extra"), None),
+        (_HEAD + _body(between=b" \t\n"), "malformed kappa file"),
+        # float() reads '0.2_5' as 0.25; the reader takes plain numerals only
+        (_HEAD + b"t,kappa\n0,1\n0.5,0.2_5\n1,0.1\n", "malformed kappa file"),
+        (_HEAD, "need at least two"),
+        (_HEAD + b"t,kappa\n", "need at least two"),
+    ],
+    ids=[
+        "crlf", "cr", "blank-and-comment-lines", "inline-comment", "third-column",
+        "whitespace-line", "underscore-numeral", "header-only", "names-only",
+    ],
+)
+def test_kappa_file_body_is_read_cell_by_cell_or_rejected(tmp_path, data, reason, capsys):
+    from squeeze_dyn.cli import _load_tabulated
+
+    kfile = tmp_path / "k.csv"
+    kfile.write_bytes(data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(
+            [
+                "evolve", "--n", "10", "--channel", "dephasing",
+                "--kappa", "tabulated", "--kappa-file", str(kfile),
+                "--t-max", "1", "--dt", "0.5", "--reproducible",
+                "--output", str(tmp_path / "out.csv"),
+            ]
+        )
+    err = capsys.readouterr().err
+    if reason is not None:
+        assert code == 2
+        assert reason in err
+        return
+    assert code == 0 and err == ""
+    model, _ = _load_tabulated(str(kfile))
+    assert model.grid == TimeGrid(0.0, 1.0, 0.5)
+    assert model.values.tolist() == [float(k) for _, k in _ROWS]
+
+
+def test_reading_a_solver_kappa_file_makes_no_object_per_row(tmp_path):
+    from squeeze_dyn.cli import _load_tabulated
+
+    grid = TimeGrid(0.0, 100.0, 0.005)
+    series = solve_volterra(MemoryKernel.exponential(ReservoirConfig(0.01, 10.0)), grid)
+    kfile = tmp_path / "kappa.csv"
+    with open(kfile, "w") as fp:
+        series.to_csv(fp, params={"model": "solver"})
+    tracemalloc.start()
+    try:
+        model, _ = _load_tabulated(str(kfile))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.grid == grid and np.array_equal(model.values, series.values)
+    # the file is 0.9 MiB; a list per row held 9 MiB
+    assert peak < 3 << 20
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from squeeze_dyn._format import (
     CHUNK_ROWS,
     SCHEMA,
     fmt,
+    parse_header,
     write_csv,
     write_header,
     write_json,
@@ -95,6 +97,74 @@ def test_write_json_one_column_matches_json_dump(rows):
     fp = io.StringIO()
     write_json(fp, "kappa", {}, ["t"], rows)
     assert fp.getvalue() == _json_dump("kappa", {}, ["t"], rows)
+
+
+@pytest.mark.parametrize("name", list(_tables()))
+@pytest.mark.parametrize("writer", [write_csv, write_json])
+def test_tables_from_an_array_match_tables_from_rows(name, writer):
+    rows = _tables()[name]
+    array = np.array(rows, dtype=float).reshape(-1, 4)
+    want = io.StringIO()
+    writer(want, "curve", {"n": 10}, list("wxyz"), array.tolist())
+    # the array itself, and its rows one at a time as perfbench's tracer
+    # passes them
+    for table in (array, (row for row in array)):
+        fp = io.StringIO()
+        writer(fp, "curve", {"n": 10}, list("wxyz"), table)
+        assert fp.getvalue() == want.getvalue()
+
+
+def _parse_header_reference(text):
+    """``parse_header`` as a loop over every line of the text."""
+    out = {}
+    for line in text.splitlines():
+        if not line.startswith("#"):
+            break
+        body = line[1:].strip()
+        if "schema=" in body:
+            head, _, schema = body.partition("schema=")
+            out["schema"] = schema.strip()
+            out["kind"] = head.strip()
+            continue
+        key, sep, val = body.partition("=")
+        if sep:
+            out[key.strip()] = val.strip()
+    return out
+
+
+@functools.cache
+def _header_texts():
+    body = "t,kappa\n" + "".join(f"{k * 0.005!r},{0.999**k!r}\n" for k in range(20001))
+    head = "# kappa schema=squeeze-dyn/1\n# step = 0.005\n"
+    texts = {
+        "large-body": head + "# model = solver\n" + body,
+        # a blank line ends the header: the keys after it are not read
+        "blank-lines": head + "\n# model = solver\n\n" + body,
+        "crlf": (head + body).replace("\n", "\r\n"),
+        "cr": (head + body).replace("\n", "\r"),
+        "header-only": head * 200,
+        "empty": "",
+    }
+    # a header line ends at each offset around the cuts of the growing
+    # prefix (1024 and 4096 characters), with CRLF ends that the cut may
+    # split between the '\r' and the '\n'
+    for width in range(964, 974):
+        line = "# pad = " + "x" * width + "\n"
+        texts[f"crlf-{width}"] = (head + line + head).replace("\n", "\r\n") + body
+    for width in range(4040, 4048):
+        texts[f"lf-{width}"] = head + "# pad = " + "x" * width + "\n" + head + body
+    return texts
+
+
+@pytest.mark.parametrize("name", list(_header_texts()))
+def test_parse_header_reads_what_a_scan_of_every_line_reads(name):
+    text = _header_texts()[name]
+    assert parse_header(text) == _parse_header_reference(text)
+
+
+def test_parse_header_stops_at_a_blank_line():
+    header = parse_header(_header_texts()["blank-lines"])
+    assert header == {"schema": "squeeze-dyn/1", "kind": "kappa", "step": "0.005"}
 
 
 def _death_report():
