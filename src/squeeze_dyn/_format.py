@@ -228,23 +228,6 @@ def write_report(fp: io.TextIOBase, report: Mapping[str, object]) -> None:
     fp.writelines(_encode(report, 0))
 
 
-def _header_lines(text: str) -> list[str]:
-    """The first lines of ``text.splitlines()``, through the first line
-    that does not start with '#' (or all of them).
-
-    Splits a prefix of ``text`` that grows until one of its lines does not
-    start with '#'. A line the cut shortens keeps its first character, and
-    the lines before it are whole.
-    """
-    size = 1024
-    while size < len(text):
-        lines = text[:size].splitlines()
-        if not all(line.startswith("#") for line in lines):
-            return lines
-        size *= 4
-    return text.splitlines()
-
-
 def parse_header(text: str) -> dict[str, str]:
     """Read the ``key = value`` header lines back into a dict.
 
@@ -252,7 +235,7 @@ def parse_header(text: str) -> dict[str, str]:
     '#' lines are read; the header ends at the first line without one.
     """
     out: dict[str, str] = {}
-    for line in _header_lines(text):
+    for line in text.splitlines():
         if not line.startswith("#"):
             break
         body = line[1:].strip()

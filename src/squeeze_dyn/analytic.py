@@ -325,22 +325,15 @@ def _exact_map(n: int, co: OatCoefficients, kind: ChannelKind, definition: Defin
 
 
 def _kappa_map(
-    n: int, alpha: float, kind: ChannelKind, definition: Definition, form: Form
+    n: int, co: OatCoefficients, kind: ChannelKind, definition: Definition, form: Form
 ) -> Callable:
-    """kappa -> xi^2 at fixed (n, alpha, channel, definition, form).
+    """kappa -> xi^2 at fixed (n, alpha, channel, definition, form), from
+    the (n, alpha) pair's coefficients ``co = oat_coefficients(n, alpha)``.
 
     The map takes a numpy array of kappa values and returns an array of
     the same shape; divergences are tagged +inf and an undefined
     eigenvalue-form denominator raises ``DegenerateDenominator``.
     """
-    return _form_map(n, oat_coefficients(n, alpha), kind, definition, form)
-
-
-def _form_map(
-    n: int, co: OatCoefficients, kind: ChannelKind, definition: Definition, form: Form
-) -> Callable:
-    """``_kappa_map`` from the (n, alpha) pair's coefficients, for a caller
-    that builds several maps of one pair."""
     build = _reference_map if form is Form.REFERENCE else _exact_map
     return build(n, co, kind, definition)
 
@@ -355,7 +348,7 @@ def channel_xi2(
 ) -> float:
     """Decohered squeezing parameter for any channel/definition/form;
     +inf where the variance form diverges."""
-    xi2 = _kappa_map(n, alpha, kind, definition, form)
+    xi2 = _kappa_map(n, oat_coefficients(n, alpha), kind, definition, form)
     return float(xi2(np.array([_check_kappa(kappa)]))[0])
 
 
@@ -459,7 +452,7 @@ def curve_evaluator(
 ) -> Callable[[np.ndarray], np.ndarray]:
     """t -> xi^2(t) along one curve for interval scans: an ndarray of times
     gives the array ``squeezing_curve`` computes for them."""
-    xi2 = _kappa_map(n, alpha, channel, definition, form)
+    xi2 = _kappa_map(n, oat_coefficients(n, alpha), channel, definition, form)
     return lambda t: _eval_curve(xi2, np.asarray(model.evaluate(t), dtype=float))
 
 
@@ -476,7 +469,7 @@ def squeezing_curve(
     """Evaluate kappa(t) on the grid and map it through the decohered
     closed form, whole arrays at a time; optionally add a Markovian
     comparison column computed from kappa(t) = exp(-rate*t)."""
-    xi2 = _kappa_map(n, alpha, channel, definition, form)
+    xi2 = _kappa_map(n, oat_coefficients(n, alpha), channel, definition, form)
     ts = grid.nodes()
     kappas = np.asarray(model.evaluate(ts), dtype=float)
     values = _eval_curve(xi2, kappas)

@@ -6,21 +6,27 @@ Form.EXACT closed forms must match the moments of the decohered state,
 computed from its one- and two-qubit reduced states (every case of the
 matrix in one stacked pass), to tolerance; the Form.REFERENCE values are
 recorded alongside with their deviation (they are not exact expectation
-values and are not gated).
+values and are not gated). Equal values agree, +inf included (a vanishing
+mean spin gives +inf on both routes); a nan on either route fails.
 Also fits the decoherence parameter that makes each operator-sum channel
 reproduce the constant-rate generator evolution, and reports the fitted
 exponent per unit rate.
+
+``run_verification`` returns a ``VerificationReport`` whose ``cases``,
+``two_particle_reductions`` and ``generator_fits`` are the report's rows:
+flat dicts, as the JSON report writes them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
 from ._format import SCHEMA
-from .analytic import Form, _form_map, oat_coefficients, xi2_oat
+from .analytic import Form, _kappa_map, oat_coefficients, xi2_oat
 from .errors import ValidationError
 from .model import ChannelKind, Definition, LindbladParams
 from .moments import _xi2_prime_rows, _xi2_rows
@@ -33,7 +39,7 @@ from .oracle import (
     reduced_sums,
 )
 
-__all__ = ["CaseResult", "GeneratorFit", "VerificationReport", "run_verification"]
+__all__ = ["VerificationReport", "run_verification"]
 
 DEFAULT_ALPHAS = (0.05, 0.2, 0.5)
 DEFAULT_KAPPAS = (1.0, 0.7, 0.3, -0.4)
@@ -45,128 +51,61 @@ _GENERATORS = {
     ChannelKind.DAMPING: LindbladParams.damping,
 }
 
+Row = dict[str, object]
 
-@dataclass(frozen=True)
-class CaseResult:
-    n: int
-    alpha: float
-    kappa: float
-    channel: ChannelKind
-    definition: Definition
-    oracle: float
-    exact: float
-    reference: float
-    tolerance: float
-
-    @property
-    def delta_exact(self) -> float:
-        return abs(self.oracle - self.exact)
-
-    @property
-    def delta_reference(self) -> float:
-        return abs(self.oracle - self.reference)
-
-    @property
-    def passed(self) -> bool:
-        return self.delta_exact <= self.tolerance
-
-    def row(self) -> dict[str, object]:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "kappa": self.kappa,
-            "channel": self.channel.value,
-            "definition": self.definition.value,
-            "oracle": self.oracle,
-            "exact": self.exact,
-            "reference": self.reference,
-            "delta_exact": self.delta_exact,
-            "delta_reference": self.delta_reference,
-            "passed": self.passed,
-        }
+#: the keys of a case row, in report order
+_CASE_KEYS = (
+    "n", "alpha", "kappa", "channel", "definition",
+    "oracle", "exact", "reference", "delta_exact", "delta_reference", "passed",
+)
 
 
-@dataclass(frozen=True)
-class GeneratorFit:
-    """Operator-sum parameter fitted from the generator solution.
+class VerificationReport(NamedTuple):
+    """The verification report: its verdict, and its rows in report order.
 
-    ``exponent_ratio`` is -ln(kappa_fit)/(rate * t): the decay exponent of
-    the fitted kappa per unit generator rate (1/2 for all three channels,
-    i.e. kappa(t) = exp(-rate*t/2)).
+    ``cases`` holds one row per (n, alpha, channel, kappa, definition);
+    ``generator_fits`` one per channel, whose ``exponent_ratio`` is
+    -ln(kappa_fit)/(rate * t): the decay exponent of the fitted kappa per
+    unit generator rate (1/2 for all three channels, i.e.
+    kappa(t) = exp(-rate*t/2)).
     """
 
-    channel: ChannelKind
-    rate: float
-    t: float
-    kappa_fit: float
-    exponent_ratio: float
-    max_state_delta: float
     tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.max_state_delta <= self.tolerance
-
-    def row(self) -> dict[str, object]:
-        return {
-            "channel": self.channel.value,
-            "rate": self.rate,
-            "t": self.t,
-            "kappa_fit": self.kappa_fit,
-            "exponent_ratio": self.exponent_ratio,
-            "max_state_delta": self.max_state_delta,
-            "passed": self.passed,
-        }
-
-
-@dataclass
-class VerificationReport:
-    tolerance: float
-    cases: list[CaseResult] = field(default_factory=list)
-    reduction_deltas: list[dict[str, float]] = field(default_factory=list)
-    generator_fits: list[GeneratorFit] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            all(c.passed for c in self.cases)
-            and all(g.passed for g in self.generator_fits)
-            and all(r["delta"] <= self.tolerance for r in self.reduction_deltas)
-        )
-
-    @property
-    def worst_exact_delta(self) -> float:
-        return max((c.delta_exact for c in self.cases), default=0.0)
+    all_passed: bool
+    worst_exact_delta: float
+    cases: list[Row]
+    two_particle_reductions: list[Row]
+    generator_fits: list[Row]
 
     def to_json(self) -> dict[str, object]:
-        return {
-            "schema": SCHEMA,
-            "kind": "verification",
-            "tolerance": self.tolerance,
-            "all_passed": self.all_passed,
-            "worst_exact_delta": self.worst_exact_delta,
-            "cases": [c.row() for c in self.cases],
-            "two_particle_reductions": self.reduction_deltas,
-            "generator_fits": [g.row() for g in self.generator_fits],
-        }
+        return {"schema": SCHEMA, "kind": "verification", **self._asdict()}
 
     def summary_lines(self) -> list[str]:
-        lines = [
+        worst_ref = _worst(self.cases, "delta_reference")
+        return [
             f"cases: {len(self.cases)}, worst |oracle - exact| = "
-            f"{self.worst_exact_delta:.3e} (tolerance {self.tolerance:g})"
-        ]
-        worst_ref = max((c.delta_reference for c in self.cases), default=0.0)
-        lines.append(
+            f"{self.worst_exact_delta:.3e} (tolerance {self.tolerance:g})",
             f"reference-form deviation from oracle up to {worst_ref:.3e} "
-            "(informational; reference forms freeze the squeezing angle)"
-        )
-        for g in self.generator_fits:
-            lines.append(
-                f"generator fit {g.channel.value}: kappa(t) = exp(-{g.exponent_ratio:.6f} "
-                f"* rate * t), state match {g.max_state_delta:.2e}"
-            )
-        lines.append("PASS" if self.all_passed else "FAIL")
-        return lines
+            "(informational; reference forms freeze the squeezing angle)",
+            *(
+                f"generator fit {g['channel']}: kappa(t) = exp(-{g['exponent_ratio']:.6f} "
+                f"* rate * t), state match {g['max_state_delta']:.2e}"
+                for g in self.generator_fits
+            ),
+            "PASS" if self.all_passed else "FAIL",
+        ]
+
+
+def _worst(rows: list[Row], key: str) -> float:
+    """The largest ``row[key]`` (0 for no rows); nan if any is nan, in
+    whatever order the rows come."""
+    return float(np.max([row[key] for row in rows], initial=0.0))
+
+
+def _delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a - b|, with equal values (+inf included) 0 and a nan kept."""
+    with np.errstate(invalid="ignore"):  # inf - inf
+        return np.where(a == b, 0.0, np.abs(a - b))
 
 
 def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -178,7 +117,7 @@ def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
     return np.stack(out)
 
 
-def _fit_generators(rate: float, t: float, tolerance: float) -> list[GeneratorFit]:
+def _fit_generators(rate: float, t: float, tolerance: float) -> list[Row]:
     """One fit per channel, in ``ChannelKind`` order, from one batched
     integration of the three generators."""
     params = [_GENERATORS[kind](rate) for kind in ChannelKind]
@@ -202,26 +141,24 @@ def _fit_generators(rate: float, t: float, tolerance: float) -> list[GeneratorFi
             kappa_fit = math.sqrt(abs(chi_t[0, 1]) / 0.5)
 
         via_map = apply_channel(randoms, kind, np.full(len(randoms), kappa_fit))
-        fits.append(
-            GeneratorFit(
-                channel=kind,
-                rate=rate,
-                t=t,
-                kappa_fit=kappa_fit,
-                exponent_ratio=-math.log(kappa_fit) / (rate * t),
-                max_state_delta=float(np.max(np.abs(evolved[1:] - via_map))),
-                tolerance=tolerance,
-            )
-        )
+        max_state_delta = float(np.max(np.abs(evolved[1:] - via_map)))
+        fits.append({
+            "channel": kind.value,
+            "rate": rate,
+            "t": t,
+            "kappa_fit": kappa_fit,
+            "exponent_ratio": -math.log(kappa_fit) / (rate * t),
+            "max_state_delta": max_state_delta,
+            "passed": max_state_delta <= tolerance,
+        })
     return fits
 
 
 def _case_matrix(
     ensembles: list[tuple[int, float]], kappas: tuple[float, ...], tolerance: float
-) -> list[CaseResult]:
+) -> list[Row]:
     """Every case of the (n, alpha) ensembles in report order: ensemble,
-    channel, kappa, definition. The oracle side runs as one pass of
-    stacked rows in that order."""
+    channel, kappa, definition. Both routes run as arrays in that order."""
     if not ensembles:
         return []
     ks = np.array(kappas, dtype=float)
@@ -242,40 +179,34 @@ def _case_matrix(
     n_rows = np.repeat([n for n, _ in ensembles], n_ch * n_k)
     mean, corr = _moment_rows(*decohered, n_rows)
     # <J^2> - N/2 is at least N/4 on these states, so scoring every row
-    # before any closed form raises no error out of case order
-    shape = (n_ens, n_ch, n_k)
-    oracle = {
-        Definition.XI: _xi2_rows(n_rows, mean, corr).reshape(shape).tolist(),
-        Definition.XI_PRIME: _xi2_prime_rows(n_rows, mean, corr).reshape(shape).tolist(),
-    }
+    # before any closed form raises no error out of case order; one flat
+    # column in (ensemble, channel, kappa, definition) order
+    oracle = np.stack([_xi2_rows(n_rows, mean, corr), _xi2_prime_rows(n_rows, mean, corr)], -1)
+    oracle = oracle.ravel()
 
-    cases = []
+    # apply_channel has rejected any |kappa| > 1 above; each closed form
+    # takes every kappa in one array call
+    closed = np.empty((n_ens, n_ch, len(Definition), len(Form), n_k))
     for e, (n, alpha) in enumerate(ensembles):
         co = oat_coefficients(n, alpha)
         for c, kind in enumerate(ChannelKind):
-            # apply_channel has rejected any |kappa| > 1 above; each closed
-            # form takes every kappa in one array call
-            closed = {
-                (definition, form): _form_map(n, co, kind, definition, form)(ks).tolist()
+            closed[e, c] = [
+                [_kappa_map(n, co, kind, definition, form)(ks) for form in Form]
                 for definition in Definition
-                for form in Form
-            }
-            for i, kappa in enumerate(kappas):
-                for definition in Definition:
-                    cases.append(
-                        CaseResult(
-                            n=n,
-                            alpha=alpha,
-                            kappa=kappa,
-                            channel=kind,
-                            definition=definition,
-                            oracle=oracle[definition][e][c][i],
-                            exact=closed[definition, Form.EXACT][i],
-                            reference=closed[definition, Form.REFERENCE][i],
-                            tolerance=tolerance,
-                        )
-                    )
-    return cases
+            ]
+    # one flat column per form, in the oracle's order
+    by_form = dict(zip(Form, closed.transpose(3, 0, 1, 4, 2).reshape(len(Form), -1)))
+    exact, reference = by_form[Form.EXACT], by_form[Form.REFERENCE]
+    delta_exact = _delta(oracle, exact)
+    columns = (
+        oracle, exact, reference, delta_exact, _delta(oracle, reference), delta_exact <= tolerance
+    )
+    values = zip(*(column.tolist() for column in columns))
+    labels = product(ensembles, ChannelKind, kappas, Definition)
+    return [
+        dict(zip(_CASE_KEYS, (n, alpha, kappa, kind.value, definition.value, *row)))
+        for ((n, alpha), kind, kappa, definition), row in zip(labels, values)
+    ]
 
 
 def run_verification(
@@ -293,18 +224,16 @@ def run_verification(
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
     if ns is None:
         ns = tuple(n for n in (2, 3, 4, 5, 6, 8, 10, 12, 14, 16) if n <= max_n)
-    report = VerificationReport(tolerance=tolerance)
-    report.cases = _case_matrix([(n, alpha) for n in ns for alpha in alphas], kappas, tolerance)
-
+    cases = _case_matrix([(n, alpha) for n in ns for alpha in alphas], kappas, tolerance)
     # two-particle reduction: the variance form collapses to 1/(1 + sin a)
-    if 2 in ns:
-        for alpha in alphas:
-            closed = 1.0 / (1.0 + math.sin(alpha))
-            report.reduction_deltas.append(
-                {"alpha": alpha, "delta": abs(xi2_oat(2, alpha) - closed)}
-            )
-
-    if include_generator:
-        report.generator_fits = _fit_generators(rate=0.01, t=35.0, tolerance=tolerance)
-
-    return report
+    reductions = [
+        {"alpha": alpha, "delta": abs(xi2_oat(2, alpha) - 1.0 / (1.0 + math.sin(alpha)))}
+        for alpha in (alphas if 2 in ns else ())
+    ]
+    fits = _fit_generators(rate=0.01, t=35.0, tolerance=tolerance) if include_generator else []
+    all_passed = all(row["passed"] for row in cases + fits) and all(
+        row["delta"] <= tolerance for row in reductions
+    )
+    return VerificationReport(
+        tolerance, all_passed, _worst(cases, "delta_exact"), cases, reductions, fits
+    )

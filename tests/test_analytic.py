@@ -328,7 +328,7 @@ def _per_node(n, alpha, kappas, kind, definition, form):
 @pytest.mark.parametrize("n", MAP_NS)
 def test_kappa_map_on_arrays_matches_per_node(n, kind, definition, form):
     alpha = _map_alpha(n)
-    xi2 = _kappa_map(n, alpha, kind, definition, form)
+    xi2 = _kappa_map(n, oat_coefficients(n, alpha), kind, definition, form)
     try:
         want = _per_node(n, alpha, MAP_KAPPAS, kind, definition, form)
     except DegenerateDenominator:
@@ -366,7 +366,7 @@ def test_exact_map_matches_moments_route(kind, definition):
     # independent route: the full 3x3 moments through the generic definitions
     for n in MAP_NS:
         alpha = _map_alpha(n)
-        got = _kappa_map(n, alpha, kind, definition, Form.EXACT)(MAP_KAPPAS)
+        got = _kappa_map(n, oat_coefficients(n, alpha), kind, definition, Form.EXACT)(MAP_KAPPAS)
         to_xi2 = xi2_from_moments if definition is Definition.XI else xi2_prime_from_moments
         want = np.array(
             [to_xi2(decohered_moments(n, alpha, kind, float(k))) for k in MAP_KAPPAS]
@@ -378,7 +378,8 @@ def test_exact_map_matches_moments_route(kind, definition):
 
 def test_damping_prime_reference_degenerate_denominator_raises():
     alpha = _map_alpha(3693)
-    xi2 = _kappa_map(3693, alpha, ChannelKind.DAMPING, Definition.XI_PRIME, Form.REFERENCE)
+    co = oat_coefficients(3693, alpha)
+    xi2 = _kappa_map(3693, co, ChannelKind.DAMPING, Definition.XI_PRIME, Form.REFERENCE)
     with pytest.raises(DegenerateDenominator):
         channel_xi2(3693, alpha, -0.7, ChannelKind.DAMPING, Definition.XI_PRIME)
     with pytest.raises(DegenerateDenominator):
@@ -390,7 +391,9 @@ def test_damping_prime_reference_degenerate_denominator_raises():
 def test_kappa_map_keeps_array_shape():
     # alpha = 0 makes the reference numerator constant; the curve still
     # has one value per node
-    xi2 = _kappa_map(10, 0.0, ChannelKind.DEPHASING, Definition.XI, Form.REFERENCE)
+    xi2 = _kappa_map(
+        10, oat_coefficients(10, 0.0), ChannelKind.DEPHASING, Definition.XI, Form.REFERENCE
+    )
     np.testing.assert_array_equal(xi2(np.array([0.0, 0.5, 1.0])), [1.0, 1.0, 1.0])
 
 

@@ -217,6 +217,32 @@ def test_verify_report_on_stdout_is_json(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "PASS"
 
 
+def test_verify_summary_lines_read_the_report(tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--max-n", "4", "-o", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    report = json.loads(out.read_text())
+    cases = report["cases"]
+    assert len(cases) == 3 * 3 * 3 * 4 * 2  # n, alpha, channel, kappa, definition
+    worst_ref = max(c["delta_reference"] for c in cases)
+    assert report["worst_exact_delta"] == max(c["delta_exact"] for c in cases)
+    fits = report["generator_fits"]
+    assert [g["channel"] for g in fits] == ["dephasing", "depolarizing", "damping"]
+    assert lines == [
+        f"cases: {len(cases)}, worst |oracle - exact| = "
+        f"{report['worst_exact_delta']:.3e} (tolerance {report['tolerance']:g})",
+        f"reference-form deviation from oracle up to {worst_ref:.3e} "
+        "(informational; reference forms freeze the squeezing angle)",
+        *(
+            f"generator fit {g['channel']}: kappa(t) = exp(-{g['exponent_ratio']:.6f} "
+            f"* rate * t), state match {g['max_state_delta']:.2e}"
+            for g in fits
+        ),
+        "PASS",
+    ]
+    assert report["all_passed"] is True
+
+
 def test_verify_empty_output_path_is_io_error(capsys):
     assert run(["verify", "--max-n", "2", "-o", ""]) == 3
     assert "i/o error" in capsys.readouterr().err

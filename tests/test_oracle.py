@@ -5,6 +5,7 @@ import pytest
 
 from squeeze_dyn import (
     ChannelKind,
+    Definition,
     LindbladParams,
     apply_channel,
     apply_field_rotation,
@@ -39,7 +40,7 @@ from squeeze_dyn.oracle import (
     moments_from_reduced,
     reduced_sums,
 )
-from squeeze_dyn.verify import DEFAULT_ALPHAS, DEFAULT_KAPPAS, run_verification
+from squeeze_dyn.verify import DEFAULT_ALPHAS, DEFAULT_KAPPAS, _delta, run_verification
 
 
 def random_density(rng, dim=2):
@@ -224,14 +225,42 @@ def test_verification_at_the_cap():
     assert rep.worst_exact_delta <= 1e-8
 
 
+@pytest.mark.parametrize("kappas", [(0.0, 0.5), (0.5, 0.0)])
+def test_verification_scores_agreeing_divergences_in_any_case_order(kappas):
+    # at kappa = 0 the dephasing and depolarizing mean spins vanish, so
+    # both routes give xi^2 = +inf: they agree, and inf - inf (nan) must
+    # neither fail the case nor make the worst delta depend on case order
+    rep = run_verification(ns=(3, 4), alphas=(0.2,), kappas=kappas, include_generator=False)
+    both_inf = [c for c in rep.cases if c["oracle"] == c["exact"] == math.inf]
+    assert {(c["channel"], c["definition"]) for c in both_inf} >= {
+        (ChannelKind.DEPHASING.value, Definition.XI.value),
+        (ChannelKind.DEPOLARIZING.value, Definition.XI.value),
+    }
+    assert all(c["delta_exact"] == 0.0 and c["passed"] for c in both_inf)
+    assert rep.all_passed
+    assert 0.0 < rep.worst_exact_delta <= 1e-8
+    finite = [c["delta_exact"] for c in rep.cases if math.isfinite(c["oracle"])]
+    assert rep.worst_exact_delta == max(finite)
+
+
+def test_verification_fails_a_nan_on_either_route():
+    inf, nan = math.inf, math.nan
+    got = _delta(np.array([inf, 1.0, nan, 1.0, inf]), np.array([inf, 1.0, 1.0, nan, 1.0]))
+    assert got[:2].tolist() == [0.0, 0.0]
+    assert np.isnan(got[2:4]).all() and got[4] == inf
+    assert not (got[2:] <= 1e-8).any()
+
+
 def test_verification_closed_forms_equal_channel_xi2():
     # verify evaluates each closed form on all its kappas in one array;
     # each value must be exactly the one channel_xi2 gives for its kappa
     rep = run_verification(max_n=8, include_generator=False)
     assert len(rep.cases) == 6 * len(DEFAULT_ALPHAS) * 3 * len(DEFAULT_KAPPAS) * 2
     for c in rep.cases:
-        for form, value in ((Form.EXACT, c.exact), (Form.REFERENCE, c.reference)):
-            assert value == channel_xi2(c.n, c.alpha, c.kappa, c.channel, c.definition, form)
+        kind, definition = ChannelKind(c["channel"]), Definition(c["definition"])
+        for form in Form:
+            want = channel_xi2(c["n"], c["alpha"], c["kappa"], kind, definition, form)
+            assert c[form.value] == want
     # the oracle still rejects a bad kappa before any closed form sees it
     with pytest.raises(InvalidKappa):
         run_verification(ns=(3,), kappas=(0.5, 1.5), include_generator=False)
@@ -658,10 +687,10 @@ def test_verification_cases_equal_the_per_case_route():
                     )
                     for value in (xi2_from_moments(m), xi2_prime_from_moments(m)):
                         case = next(cases)
-                        assert (case.n, case.alpha, case.kappa, case.channel) == (
-                            n, alpha, kappa, kind
+                        assert (case["n"], case["alpha"], case["kappa"], case["channel"]) == (
+                            n, alpha, kappa, kind.value
                         )
-                        assert case.oracle == value
+                        assert case["oracle"] == value
     assert next(cases, None) is None
 
 
