@@ -10,6 +10,7 @@ identical configurations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 import warnings
@@ -412,9 +413,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses, built on its first call.
+
+    Building one costs about ten parses (each ``add_argument`` makes a
+    help formatter), so a process that calls ``main`` many times builds
+    it once. Sharing is safe: ``parse_args`` leaves the parser unchanged,
+    no default is mutable and ``prog`` does not read ``sys.argv``.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except VerificationFailure as exc:

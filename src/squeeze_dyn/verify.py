@@ -28,7 +28,7 @@ import numpy as np
 from ._format import SCHEMA
 from .analytic import Form, _kappa_map, oat_coefficients, xi2_oat
 from .errors import ValidationError
-from .model import ChannelKind, Definition, LindbladParams
+from .model import ChannelKind, Definition, LindbladParams, _require_finite
 from .moments import _xi2_prime_rows, _xi2_rows
 from .oracle import (
     N_CAP,
@@ -159,8 +159,6 @@ def _case_matrix(
 ) -> list[Row]:
     """Every case of the (n, alpha) ensembles in report order: ensemble,
     channel, kappa, definition. Both routes run as arrays in that order."""
-    if not ensembles:
-        return []
     ks = np.array(kappas, dtype=float)
     n_ens, n_ch, n_k = len(ensembles), len(ChannelKind), len(ks)
     # per-qubit channels commute with the partial trace: reduce each pure
@@ -217,13 +215,23 @@ def run_verification(
     ns: tuple[int, ...] | None = None,
     include_generator: bool = True,
 ) -> VerificationReport:
-    """Run the oracle-vs-closed-form matrix up to max_n particles."""
+    """Run the oracle-vs-closed-form matrix up to max_n particles.
+
+    An empty ``ns``, ``alphas`` or ``kappas``, or a non-finite alpha,
+    raises ``ValidationError`` before any case is computed.
+    """
     if not 2 <= max_n <= N_CAP:
         raise ValidationError(f"max_n must lie in [2, {N_CAP}], got {max_n}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
     if ns is None:
         ns = tuple(n for n in (2, 3, 4, 5, 6, 8, 10, 12, 14, 16) if n <= max_n)
+    # an empty case matrix would pass without checking anything
+    for name, values in (("ns", ns), ("alphas", alphas), ("kappas", kappas)):
+        if len(values) == 0:
+            raise ValidationError(f"{name} must hold at least one value")
+    for alpha in alphas:
+        _require_finite("alpha", alpha)
     cases = _case_matrix([(n, alpha) for n in ns for alpha in alphas], kappas, tolerance)
     # two-particle reduction: the variance form collapses to 1/(1 + sin a)
     reductions = [

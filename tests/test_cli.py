@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from squeeze_dyn import cli
 from squeeze_dyn._format import parse_header
 from squeeze_dyn.analytic import xi2_oat_curve
 from squeeze_dyn.cli import main
@@ -817,3 +818,90 @@ def test_model_flag_of_another_model_is_a_usage_error(
     err = capsys.readouterr().err
     assert f"{flag} is read only with --kappa {reader}, not {kappa}" in err
     assert not out.exists()
+
+
+@pytest.fixture
+def fresh_parser():
+    """Drop the parser ``main`` caches, before the test and after it."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def _outcome(argv, capsys):
+    """The exit status, stdout and stderr of one ``main`` call; a
+    ``SystemExit`` gives the status."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _reuse_sequence(out_dir):
+    curve = ["evolve", "--n", "10", "--channel", "dephasing", "--t-max", "5", "--dt", "0.5"]
+    death = ["death-times", "--n", "10", "--channel", "depolarizing", "--t-max", "60"]
+    return [
+        [
+            *curve, "--alpha", "0.3", "--format", "json", "--compare-markovian", "0.01",
+            "--reproducible", "--output", str(out_dir / "flags.json"),
+        ],
+        # none of the flags above: alpha_auto, csv, no comparison, stdout
+        [*curve, "--reproducible"],
+        ["evolve", "--n", "10", "--channel", "bogus", "--t-max", "5"],
+        ["--version"],
+        [
+            *death, "--alpha", "0.3", "--coarse-step", "0.5", "--reproducible",
+            "--output", str(out_dir / "coarse.json"),
+        ],
+        [*death, "--reproducible"],
+    ]
+
+
+@pytest.mark.usefixtures("fresh_parser")
+def test_a_reused_parser_answers_each_command_as_a_fresh_one(tmp_path, capsys):
+    fresh_dir, reused_dir = tmp_path / "fresh", tmp_path / "reused"
+    fresh_dir.mkdir()
+    reused_dir.mkdir()
+    fresh = []
+    for argv in _reuse_sequence(fresh_dir):
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    cli._parser.cache_clear()
+    reused = [_outcome(argv, capsys) for argv in _reuse_sequence(reused_dir)]
+    assert reused == fresh
+    for name in ("flags.json", "coarse.json"):
+        assert (reused_dir / name).read_bytes() == (fresh_dir / name).read_bytes()
+
+    # the sequence does exercise what a leaked value would change
+    assert [code for code, _, _ in reused] == [0, 0, 2, 0, 0, 0]
+    flags = json.loads((reused_dir / "flags.json").read_text())
+    assert flags["params"]["alpha_auto"] is False
+    assert flags["columns"] == ["t", "kappa", "xi2", "xi2_markovian"]
+    plain = reused[1][1]
+    assert parse_header(plain)["alpha_auto"] == "true"
+    assert "t,kappa,xi2\n" in plain
+    assert "invalid choice: 'bogus'" in reused[2][2]
+    assert reused[3][1] == f"squeeze-dyn {cli.__version__}\n"
+    coarse = json.loads((reused_dir / "coarse.json").read_text())
+    default = json.loads(reused[5][1])
+    assert (coarse["params"]["alpha_auto"], coarse["coarse_step"]) == (False, 0.5)
+    assert (default["params"]["alpha_auto"], default["coarse_step"]) == (True, 0.05)
+
+
+@pytest.mark.usefixtures("fresh_parser")
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
+    build_parser = cli.build_parser
+    built = []
+
+    def counting_build_parser():
+        built.append(None)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for argv in _reuse_sequence(tmp_path) * 2:
+        _outcome(argv, capsys)
+    assert len(built) == 1
+    # build_parser itself still makes a parser of the caller's own
+    assert build_parser() is not build_parser()

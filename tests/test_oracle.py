@@ -266,6 +266,28 @@ def test_verification_closed_forms_equal_channel_xi2():
         run_verification(ns=(3,), kappas=(0.5, 1.5), include_generator=False)
 
 
+def _refuse_work(*args, **kwargs):
+    raise AssertionError("a rejected input reached the case matrix")
+
+
+@pytest.mark.parametrize("empty", ["ns", "alphas", "kappas"])
+def test_verification_of_an_empty_case_matrix_is_a_validation_error(empty, monkeypatch):
+    # without a case it would report PASS having checked nothing
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match=f"{empty} must hold at least one value"):
+        run_verification(**{empty: ()})
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_verification_rejects_a_non_finite_alpha_before_any_case(alpha, monkeypatch):
+    # the CLI's EnsembleConfig rejects the same alpha
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match="alpha must be finite"):
+        run_verification(alphas=(0.2, alpha))
+
+
 def test_css_prime_parameter_is_one():
     m = collective_moments(build_oat_state(4, 0.0))
     assert xi2_prime_from_moments(m) == pytest.approx(1.0, abs=1e-12)
