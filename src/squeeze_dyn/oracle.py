@@ -356,16 +356,25 @@ def integrate_single_qubit_generator(
     ``chi0`` is one 2x2 matrix or a (k, 2, 2) batch, integrated together
     and returned in the same shape. ``params`` may also be a sequence of
     generators; ``chi0`` then carries a leading axis of the same length,
-    entry i is evolved under ``params[i]``, and all of them advance in one
-    loop at one shared step. ``rate_scale`` makes the generator
-    time-local: both b and c are multiplied by rate_scale(t), which may go
-    negative over intervals (information backflow). The default step is
-    1e-3 / max(b, c, |delta|), with the largest b and c of the sequence.
-    A t that is not finite and nonnegative, a step that is not finite and
-    positive, more than ``MAX_GRID_NODES`` steps, or a sequence whose
-    length is not that of ``chi0``'s leading axis raises
-    ``ValidationError`` before any step. Raises StepInstability if the
-    trace of any matrix drifts from 1 by more than 1e-8.
+    entry i is evolved under ``params[i]``, and all of them advance at one
+    shared step. ``rate_scale`` makes the generator time-local: both b and
+    c are multiplied by rate_scale(t), which may go negative over
+    intervals (information backflow); its steps are taken one by one.
+    Without it, L is constant and one RK4 step of x' = xL is exactly
+    x -> x(I + D), D = A + A^2/2 + A^3/6 + A^4/24 with A = hL, so the n
+    steps are x(I + D)^n, taken by binary squaring. The power is kept as
+    its increment over I, (I + D)^2 = I + (2D + D^2) and
+    (I + D_j)(I + D_k) = I + (D_j + D_k + D_j D_k), since forming I + D
+    would round away the low bits of the small D.
+
+    The default step is 1e-3 / max(b, c, |delta|), with the largest b
+    and c of the sequence. A t that is not finite and nonnegative, a
+    delta that is not finite, a step that is not finite and positive,
+    more than ``MAX_GRID_NODES`` steps, or a sequence whose length is not
+    that of ``chi0``'s leading axis raises ``ValidationError`` before any
+    step; a rate_scale(tau) that is not finite raises it at that tau.
+    Raises StepInstability if the trace of any matrix drifts from 1 by
+    more than 1e-8, or is not finite.
     """
     batch = not isinstance(params, LindbladParams)
     plist = list(params) if batch else [params]
@@ -376,6 +385,8 @@ def integrate_single_qubit_generator(
         )
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError(f"t must be finite and nonnegative, got {t!r}")
+    if not math.isfinite(delta):
+        raise ValidationError(f"delta must be finite, got {delta!r}")
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValidationError(f"step must be finite and positive, got {step!r}")
     chi = chi0.astype(complex, copy=True)
@@ -397,26 +408,39 @@ def integrate_single_qubit_generator(
     if not batch:
         l_delta, l_bc, x = l_delta[0], l_bc[0], x[0]
 
-    if rate_scale is None:
-        l_const = l_delta + 1.0 * l_bc
+    # an unstable step overflows to inf or nan, which the drift test reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        if rate_scale is None:
+            a = h * (l_delta + l_bc)
+            a2 = a @ a
+            power = a + (a2 / 2.0 + (a2 @ a / 6.0 + a2 @ a2 / 24.0))  # D of one step
+            total = None  # D of the steps taken so far, by the bits of n_steps
+            n = n_steps
+            while True:
+                if n & 1:
+                    total = power if total is None else total + power + total @ power
+                n >>= 1
+                if not n:
+                    break
+                power = 2.0 * power + power @ power
+            x = x + x @ total
+        else:
 
-        def rhs(tau: float, x: np.ndarray) -> np.ndarray:
-            return x @ l_const
+            def rhs(tau: float, x: np.ndarray) -> np.ndarray:
+                r = rate_scale(tau)
+                if not math.isfinite(r):
+                    raise ValidationError(f"rate_scale({tau!r}) = {r!r} is not finite")
+                return x @ (l_delta + r * l_bc)
 
-    else:
-
-        def rhs(tau: float, x: np.ndarray) -> np.ndarray:
-            return x @ (l_delta + rate_scale(tau) * l_bc)
-
-    tau = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(tau, x)
-        k2 = rhs(tau + 0.5 * h, x + 0.5 * h * k1)
-        k3 = rhs(tau + 0.5 * h, x + 0.5 * h * k2)
-        k4 = rhs(tau + h, x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        tau += h
-    drift = float(np.max(np.abs(x[..., 0] + x[..., 3] - 1.0)))
-    if drift > 1e-8:
+            tau = 0.0
+            for _ in range(n_steps):
+                k1 = rhs(tau, x)
+                k2 = rhs(tau + 0.5 * h, x + 0.5 * h * k1)
+                k3 = rhs(tau + 0.5 * h, x + 0.5 * h * k2)
+                k4 = rhs(tau + h, x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                tau += h
+        drift = float(np.max(np.abs(x[..., 0] + x[..., 3] - 1.0)))
+    if not drift <= 1e-8:
         raise StepInstability(f"trace drifted by {drift}; reduce the step")
     return x.reshape(chi.shape)

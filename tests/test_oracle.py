@@ -409,6 +409,9 @@ def test_generator_rejects_bad_time_and_step():
         {"t": 1.0, "step": math.inf},
         {"t": 1.0, "step": 1e-320},
         {"t": 1e12},
+        {"t": 1.0, "delta": math.nan},
+        {"t": 1.0, "delta": math.inf},
+        {"t": 1.0, "delta": -math.inf},
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
@@ -502,6 +505,91 @@ def test_generator_params_batch_instability_in_any_member(unstable):
     with pytest.raises(StepInstability):
         integrate_single_qubit_generator(params, chi0, 240.0, step=6.0)
     integrate_single_qubit_generator(params, np.stack([down] * 3), 240.0, step=6.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_generator_rejects_non_finite_rate_scale(bad):
+    def rate(tau):
+        return 1.0 if tau < 0.5 else bad
+
+    with pytest.raises(ValidationError, match=r"rate_scale\(0\.5"):
+        integrate_single_qubit_generator(
+            LindbladParams.depolarizing(0.1), PLUS, 1.0, rate_scale=rate, step=0.25
+        )
+
+
+@pytest.mark.parametrize("rate_scale", [None, lambda tau: 1.0])
+def test_generator_non_finite_state_is_instability(rate_scale):
+    # a nan trace is not within the drift bound, so it is not returned
+    chi0 = np.stack([PLUS, np.full((2, 2), math.nan, dtype=complex)])
+    with pytest.raises(StepInstability):
+        integrate_single_qubit_generator(
+            LindbladParams.damping(0.1), chi0, 1.0, rate_scale=rate_scale
+        )
+
+
+@pytest.mark.parametrize("rate_scale", [None, lambda tau: 1.0])
+def test_generator_overflowing_step_is_instability(rate_scale):
+    # 1,000 steps that each grow the state 31-fold overflow to inf and nan;
+    # that is reported as StepInstability, with no RuntimeWarning first
+    with pytest.raises(StepInstability):
+        integrate_single_qubit_generator(
+            LindbladParams.damping(1.0), UP, 6000.0, step=6.0, rate_scale=rate_scale
+        )
+
+
+def _rk4_propagator_50_digits(mp, l_const, h, n_steps):
+    """The 4x4 map of n RK4 steps of x' = xL in 50 digits: RK4 is linear
+    in x, so one step taken on the identity is the step matrix, and the
+    n steps are n products with it."""
+    lm = np.array([[mp.mpc(v) for v in row] for row in l_const], dtype=object)
+    hm = mp.mpf(h)
+    eye = np.array([[mp.mpc(int(i == j)) for j in range(4)] for i in range(4)], dtype=object)
+    k1 = eye @ lm
+    k2 = (eye + hm / 2 * k1) @ lm
+    k3 = (eye + hm / 2 * k2) @ lm
+    k4 = (eye + hm * k3) @ lm
+    step = eye + hm / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    out = eye
+    for _ in range(n_steps):
+        out = out @ step
+    return out
+
+
+@pytest.mark.parametrize(
+    "params, delta",
+    [
+        (LindbladParams.dephasing(0.01), 0.0),
+        (LindbladParams.depolarizing(0.01), 0.0),
+        (LindbladParams.damping(0.01), 0.0),
+        (LindbladParams.depolarizing(0.01), 0.01),
+    ],
+)
+def test_generator_constant_rate_matches_50_digit_rk4(params, delta):
+    # verify's fit (rate 0.01, t 35, default step): the constant-rate route
+    # against the same 350 RK4 steps taken in 50 digits, on verify's states
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp.clone()
+    mp.dps = 50
+    t = 35.0
+    n_steps = math.ceil(t / (1e-3 / 0.01))
+    rng = np.random.default_rng(20240917)
+    chi0 = np.stack([UP if params.s == 1.0 else PLUS] + [random_density(rng) for _ in range(8)])
+    l_const = _superoperator(params.s, 0.0, 0.0, delta) + _superoperator(
+        params.s, params.b, params.c, 0.0
+    )
+    propagator = _rk4_propagator_50_digits(mp, l_const, t / n_steps, n_steps)
+    x0 = np.array([[mp.mpc(v) for v in row] for row in chi0.reshape(-1, 4)], dtype=object)
+    want = x0 @ propagator
+
+    got = integrate_single_qubit_generator(params, chi0, t, delta=delta)
+    err = max(float(abs(g - w)) for g, w in zip(got.reshape(-1), want.reshape(-1)))
+    assert err <= 2e-16
+    # the time-local route steps one by one and rounds at every step
+    stepped = integrate_single_qubit_generator(
+        params, chi0, t, delta=delta, rate_scale=lambda tau: 1.0
+    )
+    np.testing.assert_allclose(got, stepped, rtol=0, atol=1e-14)
 
 
 def test_generator_superoperators_reproduce_rhs():
