@@ -23,11 +23,12 @@ def min_eig_sym3_entries(a00, a01, a02, a11, a12, a22):
     off = a01 * a01 + a02 * a02 + a12 * a12
     diagonal = off == 0.0
     q = (a00 + a11 + a22) / 3.0
-    p2 = (a00 - q) ** 2 + (a11 - q) ** 2 + (a22 - q) ** 2 + 2.0 * off
+    d00, d11, d22 = a00 - q, a11 - q, a22 - q
+    p2 = d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * off
     # p vanishes only for a diagonal matrix, whose value is selected below
     p = np.where(diagonal, 1.0, np.sqrt(p2 / 6.0))
     # det of (m - q*I)/p
-    b00, b11, b22 = (a00 - q) / p, (a11 - q) / p, (a22 - q) / p
+    b00, b11, b22 = d00 / p, d11 / p, d22 / p
     b01, b02, b12 = a01 / p, a02 / p, a12 / p
     det = (
         b00 * (b11 * b22 - b12 * b12)

@@ -169,6 +169,10 @@ def xi2_prime_oat(n: int, alpha: float, form: Form = Form.REFERENCE) -> float:
 # closed form is built once per (n, alpha, channel, definition, form)
 # from one ``oat_coefficients`` record, and the returned map takes a
 # numpy array of kappa values through numpy expressions, elementwise.
+# The same expressions take many (n, alpha) pairs at once: n and every
+# field of the record as (E, 1) arrays, beside a (1, K) array of kappa.
+# Squares are products: on a float, x**2 calls libm pow, which can
+# differ in the last bit from x*x, the square numpy takes of an array.
 
 
 def _div_or_inf(num, den):
@@ -186,16 +190,16 @@ def _check_kappa(kappa: float) -> float:
     return float(kappa)
 
 
-def _zeta(n: int, co: OatCoefficients) -> Callable:
+def _zeta(n, co: OatCoefficients) -> Callable:
     """Shared numerator of the reference family, as a map of kappa.
 
     Transverse variance at the kappa = 1 optimal squeezing angle; the
-    A = B = 0 point (alpha = 0) is the continuous limit zeta = 1.
+    A = B = 0 point (alpha = 0) is the continuous limit zeta = 1, since
+    both coefficients below vanish there.
     """
-    if co.hypot == 0.0:
-        return lambda k: 1.0 + 0.0 * k  # 1, in the shape of kappa
-    quad = co.a_coef - co.a_coef**2 / co.hypot
-    lin = co.b_coef**2 / co.hypot
+    hypot = np.where(co.hypot == 0.0, 1.0, co.hypot)
+    quad = co.a_coef - co.a_coef * co.a_coef / hypot
+    lin = co.b_coef * co.b_coef / hypot
     n1 = n - 1
     return lambda k: 1.0 + 0.25 * k * k * n1 * quad - 0.25 * k * n1 * lin
 
@@ -300,7 +304,7 @@ def _exact_map(n: int, co: OatCoefficients, kind: ChannelKind, definition: Defin
         # (-u_z, 0, u_x); C restricted to it:
         pww = uz * uz * cxx - 2.0 * ux * uz * cxz + ux * ux * czz
         lam = min_eig_sym2(cyy, ux * cyz, pww)
-        return np.where(vanishing, math.inf, n * lam / mag**2)
+        return np.where(vanishing, math.inf, n * lam / (mag * mag))
 
     def xi_prime(k):
         jx, jz, cxx, cyy, czz, cyz, cxz = _moment_entries(n, co, kind, k)
@@ -325,14 +329,18 @@ def _exact_map(n: int, co: OatCoefficients, kind: ChannelKind, definition: Defin
 
 
 def _kappa_map(
-    n: int, co: OatCoefficients, kind: ChannelKind, definition: Definition, form: Form
+    n, co: OatCoefficients, kind: ChannelKind, definition: Definition, form: Form
 ) -> Callable:
     """kappa -> xi^2 at fixed (n, alpha, channel, definition, form), from
     the (n, alpha) pair's coefficients ``co = oat_coefficients(n, alpha)``.
 
     The map takes a numpy array of kappa values and returns an array of
     the same shape; divergences are tagged +inf and an undefined
-    eigenvalue-form denominator raises ``DegenerateDenominator``.
+    eigenvalue-form denominator raises ``DegenerateDenominator``. Given
+    E pairs at once, as an (E, 1) array ``n`` and ``co`` fields of (E, 1)
+    arrays, it maps a (1, K) kappa array to the (E, K) values, each
+    equal to the single pair's value; a denominator that is not positive
+    in any row raises.
     """
     build = _reference_map if form is Form.REFERENCE else _exact_map
     return build(n, co, kind, definition)

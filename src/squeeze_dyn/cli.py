@@ -355,13 +355,15 @@ def _cmd_alpha_scan(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_verification(max_n=args.max_n, tolerance=args.tolerance)
+    # the report is written first, so that a path that cannot be written
+    # fails before the summary prints its verdict
+    if args.output is not None:
+        _emit(args.output, lambda fp: write_report(fp, report.to_json()))
     # with the report on stdout, the summary goes to stderr so that stdout
     # stays one JSON document
     summary = sys.stderr if args.output == "-" else sys.stdout
     for line in report.summary_lines():
         print(line, file=summary)
-    if args.output is not None:
-        _emit(args.output, lambda fp: write_report(fp, report.to_json()))
     if not report.all_passed:
         raise VerificationFailure(
             f"worst |oracle - exact| = {report.worst_exact_delta:.3e} "

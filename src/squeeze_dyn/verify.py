@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._format import SCHEMA
-from .analytic import Form, _kappa_map, oat_coefficients, xi2_oat
+from .analytic import Form, OatCoefficients, _kappa_map, oat_coefficients, xi2_oat
 from .errors import ValidationError
 from .model import ChannelKind, Definition, LindbladParams, _require_finite
 from .moments import _xi2_prime_rows, _xi2_rows
@@ -108,10 +108,51 @@ def _delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.where(a == b, 0.0, np.abs(a - b))
 
 
-def _random_densities(rng: np.random.Generator, count: int) -> np.ndarray:
+#: the real and imaginary parts of 8 random 2x2 matrices: the standard
+#: normal draws of ``np.random.default_rng(20240917)``, real part then
+#: imaginary part per matrix, written out so that ``verify`` does not
+#: import ``numpy.random``
+_DENSITY_DRAWS = (
+    (
+        [[0.16349383912875726, -0.3424342419079174], [-0.6991535332562332, 0.9311862923547886]],
+        [[-1.2424024285870399, 0.7505169816912239], [0.8182937514423047, -0.37856527737452417]],
+    ),
+    (
+        [[-2.339847441735585, 2.682948813990252], [-0.45970921766652173, -0.4624495516535821]],
+        [[1.4938209948918317, 0.8316159858607689], [-2.0810434246157916, 0.5891194437480889]],
+    ),
+    (
+        [[0.8374719835903041, -0.0075229487150888395], [-2.3051235395508436, -2.0125784746900557]],
+        [[0.6320744842995594, -0.013203522958643969], [-0.9863103827441368, 1.5753761901577221]],
+    ),
+    (
+        [[0.6560650609301832, 0.12058005784676727], [-0.3086121996668544, 1.301049269656081]],
+        [[0.3782841453450377, 0.8589254758992386], [-0.45545383177294835, -0.9538888959182569]],
+    ),
+    (
+        [[1.5463175884266338, 0.3357810500741921], [-1.9724667782513747, -1.2455980757996605]],
+        [[-0.7211383388719668, -1.069937588369116], [-0.3570014407046143, -0.4382598690793025]],
+    ),
+    (
+        [[1.632441843969853, 0.9776176717481426], [0.8864123221440117, 1.832324875807118]],
+        [[0.8200969971813585, -1.0767498667007889], [-0.5494224574492611, 2.2009420597180176]],
+    ),
+    (
+        [[0.3070640024037967, 0.6203561564565331], [-0.31860245987423624, 0.09258015496872256]],
+        [[0.1305132611121227, 1.1313592039666425], [-1.4446789741362687, 0.07199033982180805]],
+    ),
+    (
+        [[0.37767958615348873, -1.3919386045603177], [0.38946369721572055, -0.1307145208342581]],
+        [[-2.410980246203636, -0.7877924980332254], [-0.1256398581937484, -0.15572131269615508]],
+    ),
+)
+
+
+def _random_densities() -> np.ndarray:
+    """The 8 densities a a^dagger / tr(a a^dagger) of ``_DENSITY_DRAWS``."""
     out = []
-    for _ in range(count):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    for re, im in _DENSITY_DRAWS:
+        a = np.array(re) + 1j * np.array(im)
         rho = a @ a.conj().T
         out.append(rho / np.trace(rho).real)
     return np.stack(out)
@@ -124,7 +165,7 @@ def _fit_generators(rate: float, t: float, tolerance: float) -> list[Row]:
     plus = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
     up = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
     # per channel: the fit state and 8 random densities
-    randoms = _random_densities(np.random.default_rng(20240917), 8)
+    randoms = _random_densities()
     chi0 = np.stack([
         np.concatenate([[up if kind is ChannelKind.DAMPING else plus], randoms])
         for kind in ChannelKind
@@ -158,7 +199,10 @@ def _case_matrix(
     ensembles: list[tuple[int, float]], kappas: tuple[float, ...], tolerance: float
 ) -> list[Row]:
     """Every case of the (n, alpha) ensembles in report order: ensemble,
-    channel, kappa, definition. Both routes run as arrays in that order."""
+    channel, kappa, definition. Both routes run as arrays in that order:
+    the oracle decoheres every case in one stacked pass, and each closed
+    form (channel, definition, form) is evaluated once, over all the
+    ensembles and kappas together."""
     ks = np.array(kappas, dtype=float)
     n_ens, n_ch, n_k = len(ensembles), len(ChannelKind), len(ks)
     # per-qubit channels commute with the partial trace: reduce each pure
@@ -183,17 +227,19 @@ def _case_matrix(
     oracle = oracle.ravel()
 
     # apply_channel has rejected any |kappa| > 1 above; each closed form
-    # takes every kappa in one array call
-    closed = np.empty((n_ens, n_ch, len(Definition), len(Form), n_k))
-    for e, (n, alpha) in enumerate(ensembles):
-        co = oat_coefficients(n, alpha)
-        for c, kind in enumerate(ChannelKind):
-            closed[e, c] = [
-                [_kappa_map(n, co, kind, definition, form)(ks) for form in Form]
-                for definition in Definition
-            ]
+    # takes every (n, alpha) pair and every kappa in one array call, and
+    # only the coefficients' fields are stacked, one scalar record per pair
+    ns = np.array([n for n, _ in ensembles])[:, None]
+    co = OatCoefficients(
+        *np.array([oat_coefficients(n, alpha) for n, alpha in ensembles]).T[:, :, None]
+    )
+    closed = np.empty((len(Form), n_ens, n_ch, n_k, len(Definition)))
+    for (f, form), (c, kind), (d, definition) in product(
+        enumerate(Form), enumerate(ChannelKind), enumerate(Definition)
+    ):
+        closed[f, :, c, :, d] = _kappa_map(ns, co, kind, definition, form)(ks[None, :])
     # one flat column per form, in the oracle's order
-    by_form = dict(zip(Form, closed.transpose(3, 0, 1, 4, 2).reshape(len(Form), -1)))
+    by_form = dict(zip(Form, closed.reshape(len(Form), -1)))
     exact, reference = by_form[Form.EXACT], by_form[Form.REFERENCE]
     delta_exact = _delta(oracle, exact)
     columns = (

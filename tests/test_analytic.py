@@ -1,5 +1,6 @@
 import math
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from squeeze_dyn import (
     Definition,
     Form,
     MarkovianExponential,
+    OatCoefficients,
     TimeGrid,
     apply_channel,
     build_oat_state,
@@ -386,6 +388,56 @@ def test_damping_prime_reference_degenerate_denominator_raises():
         xi2(-0.7)
     with pytest.raises(DegenerateDenominator):
         xi2(np.array([1.0, 0.5, -0.7]))
+
+
+# the kappa -> xi^2 map over many (n, alpha) pairs at once
+
+BATCH_PAIRS = list(product((2, 3, 5, 10, 16), (0.0, 0.05, 0.2, 0.5, 1.1)))
+BATCH_KAPPAS = np.array([1.0, 0.7, 0.3, 0.0, -0.4])
+
+
+def _batch(pairs):
+    """n and the coefficient fields of each pair, stacked as (E, 1) arrays."""
+    ns = np.array([n for n, _ in pairs])[:, None]
+    fields = np.array([oat_coefficients(n, alpha) for n, alpha in pairs]).T[:, :, None]
+    return ns, OatCoefficients(*fields)
+
+
+@pytest.mark.parametrize("form", list(Form))
+@pytest.mark.parametrize("definition", list(Definition))
+@pytest.mark.parametrize("kind", list(ChannelKind))
+def test_kappa_map_over_many_pairs_matches_each_pair(kind, definition, form):
+    # alpha = 0 (A = B = 0, so zeta = 1) and N = 2 included
+    ns, co = _batch(BATCH_PAIRS)
+    got = _kappa_map(ns, co, kind, definition, form)(BATCH_KAPPAS[None, :])
+    assert got.shape == (len(BATCH_PAIRS), len(BATCH_KAPPAS))
+    for row, (n, alpha) in zip(got, BATCH_PAIRS):
+        one = _kappa_map(n, oat_coefficients(n, alpha), kind, definition, form)(BATCH_KAPPAS)
+        lone = [channel_xi2(n, alpha, float(k), kind, definition, form) for k in BATCH_KAPPAS]
+        assert row.tobytes() == one.tobytes() == np.array(lone).tobytes()
+
+
+def test_batched_damping_prime_reference_raises_for_one_degenerate_row():
+    # at N = 3, alpha = 0.2, kappa = -1 the denominator is -1/3
+    pairs = [(10, 0.2), (3, 0.2), (16, 0.05)]
+    with pytest.raises(DegenerateDenominator, match="-0.333333"):
+        channel_xi2(3, 0.2, -1.0, ChannelKind.DAMPING, Definition.XI_PRIME)
+    xi2 = _kappa_map(*_batch(pairs), ChannelKind.DAMPING, Definition.XI_PRIME, Form.REFERENCE)
+    assert np.isfinite(xi2(np.array([[1.0, 0.5, 0.0]]))).all()
+    with pytest.raises(DegenerateDenominator):
+        xi2(np.array([[1.0, 0.5, -1.0]]))
+
+
+#: pairs whose A or B squared by a float's ** (libm pow, glibc) differs
+#: in the last bit from the product
+POW_PAIRS = [(5, 0.9275), (16, 0.1875), (100, 0.0125), (100, 0.115)]
+
+
+def test_zeta_of_one_pair_equals_its_batched_row():
+    # arrays square by product, so the scalar route must too
+    got = _zeta(*_batch(POW_PAIRS))(BATCH_KAPPAS[None, :])
+    for row, (n, alpha) in zip(got, POW_PAIRS):
+        assert row.tobytes() == _zeta(n, oat_coefficients(n, alpha))(BATCH_KAPPAS).tobytes()
 
 
 def test_kappa_map_keeps_array_shape():

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import squeeze_dyn
 from squeeze_dyn import cli
 from squeeze_dyn._format import parse_header
 from squeeze_dyn.analytic import xi2_oat_curve
@@ -247,6 +251,35 @@ def test_verify_summary_lines_read_the_report(tmp_path, capsys):
 def test_verify_empty_output_path_is_io_error(capsys):
     assert run(["verify", "--max-n", "2", "-o", ""]) == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/verify.json"])
+def test_verify_unwritable_output_prints_no_verdict(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()
+    assert run(["verify", "--max-n", "2", "-o", str(tmp_path / target)]) == 3
+    captured = capsys.readouterr()
+    assert "i/o error" in captured.err
+    assert "PASS" not in captured.out + captured.err
+
+
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # numpy 1.x imports numpy.random with numpy itself; verify adds nothing
+    out = tmp_path / "verify.json"
+    script = (
+        "import sys, numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "from squeeze_dyn.cli import main\n"
+        f"assert main(['verify', '--max-n', '3', '-o', {str(out)!r}]) == 0\n"
+        "print(before, 'numpy.random' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(squeeze_dyn.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    before, after = done.stdout.splitlines()[-1].split()
+    assert after == before
+    assert out.exists()
 
 
 def test_verify_rejects_oversized_n():

@@ -40,6 +40,7 @@ from squeeze_dyn.oracle import (
     moments_from_reduced,
     reduced_sums,
 )
+from squeeze_dyn import verify
 from squeeze_dyn.verify import DEFAULT_ALPHAS, DEFAULT_KAPPAS, _delta, run_verification
 
 
@@ -264,6 +265,37 @@ def test_verification_closed_forms_equal_channel_xi2():
     # the oracle still rejects a bad kappa before any closed form sees it
     with pytest.raises(InvalidKappa):
         run_verification(ns=(3,), kappas=(0.5, 1.5), include_generator=False)
+
+
+def test_verification_evaluates_each_closed_form_once(monkeypatch):
+    calls, kappa_map = [], verify._kappa_map
+
+    def counted(*args):
+        calls.append(args[2:])
+        return kappa_map(*args)
+
+    monkeypatch.setattr("squeeze_dyn.verify._kappa_map", counted)
+    rep = run_verification(max_n=8, include_generator=False)
+    assert rep.all_passed
+    # one call per (channel, definition, form), over every (n, alpha)
+    assert len(calls) == len(set(calls)) == len(ChannelKind) * len(Definition) * len(Form)
+
+
+def test_verification_passes_at_alpha_zero():
+    # alpha = 0: A = B = 0, so the reference numerator is 1 in its row
+    rep = run_verification(alphas=(0.0, 0.2))
+    assert rep.all_passed
+    zero = [c for c in rep.cases if c["alpha"] == 0.0]
+    assert len(zero) == len(rep.cases) // 2
+
+
+def test_fit_densities_are_the_seeded_normal_draws():
+    # written out so that verify does not import numpy.random
+    rng = np.random.default_rng(20240917)
+    assert len(verify._DENSITY_DRAWS) == 8
+    for re, im in verify._DENSITY_DRAWS:
+        assert np.array(re).tobytes() == rng.normal(size=(2, 2)).tobytes()
+        assert np.array(im).tobytes() == rng.normal(size=(2, 2)).tobytes()
 
 
 def _refuse_work(*args, **kwargs):
