@@ -79,8 +79,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
 _ID2 = np.eye(2, dtype=complex)
-_SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |up><down|
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |down><up|
 
 
 def _check_n(n: int) -> int:
@@ -301,45 +299,15 @@ def validate_density_matrix(
     return rho
 
 
-def _generator_rhs(
-    chi: np.ndarray, s: float, b: float, c: float, delta: float
-) -> np.ndarray:
-    """-i[H, chi] + L(chi) with H = (delta/2) sigma_z.
-
-    The b-weighted flip terms are split so that s = 1 is pure decay
-    toward the ground state (matching the damping channel's direction)
-    and s = 0 pure pumping; the (2c - b)/8 term is pure dephasing.
-    """
-    out = np.zeros_like(chi)
-    if delta != 0.0:
-        h = 0.5 * delta * SIGMA_Z
-        out += -1.0j * (h @ chi - chi @ h)
-    if b != 0.0:
-        p_up = _SIGMA_PLUS @ _SIGMA_MINUS  # |up><up|
-        p_dn = _SIGMA_MINUS @ _SIGMA_PLUS  # |down><down|
-        out += (
-            -0.5
-            * b
-            * s
-            * (p_up @ chi + chi @ p_up - 2.0 * _SIGMA_MINUS @ chi @ _SIGMA_PLUS)
-        )
-        out += (
-            -0.5
-            * b
-            * (1.0 - s)
-            * (p_dn @ chi + chi @ p_dn - 2.0 * _SIGMA_PLUS @ chi @ _SIGMA_MINUS)
-        )
-    deph = 2.0 * c - b
-    if deph != 0.0:
-        out += -0.25 * deph * (chi - SIGMA_Z @ chi @ SIGMA_Z)
-    return out
-
-
-def _superoperator(s: float, b: float, c: float, delta: float) -> np.ndarray:
-    """4x4 matrix L of ``_generator_rhs`` on row-major vec(chi):
-    vec(rhs(chi)) = vec(chi) @ L."""
-    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    return np.stack([_generator_rhs(e, s, b, c, delta).reshape(4) for e in basis])
+def _generator_matrices(plist: Sequence[LindbladParams], delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """L_delta (4, 4) and the dissipators L_bc (P, 4, 4) of P generators."""
+    s, b, c = np.array([(p.s, p.b, p.c) for p in plist]).T
+    pump, decay = b * (1.0 - s), b * s
+    l_bc = np.zeros((len(plist), 4, 4), dtype=complex)
+    l_bc[:, 0, 0], l_bc[:, 0, 3] = -pump, pump
+    l_bc[:, 3, 0], l_bc[:, 3, 3] = decay, -decay
+    l_bc[:, 1, 1] = l_bc[:, 2, 2] = -c
+    return np.diag([0.0, 1j * delta, -1j * delta, 0.0]), l_bc
 
 
 def integrate_single_qubit_generator(
@@ -350,32 +318,43 @@ def integrate_single_qubit_generator(
     rate_scale: Callable[[float], float] | None = None,
     step: float | None = None,
 ) -> np.ndarray:
-    """Integrate the single-qubit master equation to time t (RK4, fixed
-    step).
+    """Integrate the single-qubit master equation to time t (RK4, fixed step).
 
     ``chi0`` is one 2x2 matrix or a (k, 2, 2) batch, integrated together
     and returned in the same shape. ``params`` may also be a sequence of
     generators; ``chi0`` then carries a leading axis of the same length,
     entry i is evolved under ``params[i]``, and all of them advance at one
-    shared step. ``rate_scale`` makes the generator time-local: both b and
-    c are multiplied by rate_scale(t), which may go negative over
-    intervals (information backflow); its steps are taken one by one.
-    Without it, L is constant and one RK4 step of x' = xL is exactly
-    x -> x(I + D), D = A + A^2/2 + A^3/6 + A^4/24 with A = hL, so the n
-    steps are x(I + D)^n, taken by binary squaring. The power is kept as
-    its increment over I, (I + D)^2 = I + (2D + D^2) and
+    shared step.
+
+    The right-hand side -i[H, chi] + D(chi), H = (delta/2) sigma_z, acts on
+    row-major vec(chi) = (chi00, chi01, chi10, chi11) as vec(rhs) =
+    vec(chi) @ L, L = L_delta + L_bc, L_delta = diag(0, i delta, -i delta, 0).
+    L_bc has six nonzero entries: L[0, 0] = -L[0, 3] = -b(1 - s) pump the
+    ground population up, L[3, 3] = -L[3, 0] = -b s decay the excited one
+    (s = 1 is the damping channel's decay), L[1, 1] = L[2, 2] = -c damp coherence.
+
+    ``rate_scale`` makes the generator time-local: both b and c are
+    multiplied by rate_scale(t), which may go negative over intervals
+    (information backflow); its steps are taken one by one. Without it, L
+    is constant and one RK4 step of x' = xL is exactly x -> x(I + D),
+    D = A + A^2/2 + A^3/6 + A^4/24 with A = hL, so the n steps are
+    x(I + D)^n, taken by binary squaring. The power is kept as its
+    increment over I, (I + D)^2 = I + (2D + D^2) and
     (I + D_j)(I + D_k) = I + (D_j + D_k + D_j D_k), since forming I + D
     would round away the low bits of the small D.
 
     The default step is 1e-3 / max(b, c, |delta|), with the largest b
-    and c of the sequence. A t that is not finite and nonnegative, a
-    delta that is not finite, a step that is not finite and positive,
-    more than ``MAX_GRID_NODES`` steps, or a sequence whose length is not
-    that of ``chi0``'s leading axis raises ``ValidationError`` before any
-    step; a rate_scale(tau) that is not finite raises it at that tau.
-    Raises StepInstability if the trace of any matrix drifts from 1 by
-    more than 1e-8, or is not finite.
+    and c of the sequence. A ``chi0`` whose last two axes are not (2, 2),
+    a t that is not finite and nonnegative, a delta that is not finite, a
+    step that is not finite and positive, more than ``MAX_GRID_NODES``
+    steps, or a sequence whose length is not that of ``chi0``'s leading
+    axis raises ``ValidationError`` before any step; a rate_scale(tau)
+    that is not finite raises it at that tau. L keeps each matrix's trace
+    (a zero chi0 stays zero): StepInstability is raised if a trace is not
+    finite or drifts from its value at t = 0 by over 1e-8 max(1, |chi00| + |chi11|).
     """
+    if chi0.shape[-2:] != (2, 2):
+        raise ValidationError(f"chi0 must end in two axes of length 2, got shape {chi0.shape}")
     batch = not isinstance(params, LindbladParams)
     plist = list(params) if batch else [params]
     if batch and not (plist and chi0.ndim >= 3 and chi0.shape[0] == len(plist)):
@@ -400,13 +379,11 @@ def integrate_single_qubit_generator(
     n_steps = max(1, int(math.ceil(t / h)))
     h = t / n_steps
 
-    # the right-hand side is L_delta + r(tau) * L_bc, linear in (b, c);
-    # a batch stacks them, one (4, 4) pair per generator
-    l_delta = np.stack([_superoperator(p.s, 0.0, 0.0, delta) for p in plist])
-    l_bc = np.stack([_superoperator(p.s, p.b, p.c, 0.0) for p in plist])
-    x = chi.reshape(len(plist), -1, 4)
+    # the right-hand side is L_delta + r(tau) * L_bc, linear in (b, c)
+    l_delta, l_bc = _generator_matrices(plist, delta)
+    x0 = x = chi.reshape(len(plist), -1, 4)
     if not batch:
-        l_delta, l_bc, x = l_delta[0], l_bc[0], x[0]
+        l_bc, x0, x = l_bc[0], x0[0], x[0]
 
     # an unstable step overflows to inf or nan, which the drift test reports
     with np.errstate(over="ignore", invalid="ignore"):
@@ -440,7 +417,9 @@ def integrate_single_qubit_generator(
                 k4 = rhs(tau + h, x + h * k3)
                 x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 tau += h
-        drift = float(np.max(np.abs(x[..., 0] + x[..., 3] - 1.0)))
+        # rounding moves a trace by a few ulps of the populations
+        drift = np.abs(x[..., 0] + x[..., 3] - (x0[..., 0] + x0[..., 3]))
+        drift = float(np.max(drift / np.maximum(1.0, np.abs(x0[..., 0]) + np.abs(x0[..., 3]))))
     if not drift <= 1e-8:
         raise StepInstability(f"trace drifted by {drift}; reduce the step")
     return x.reshape(chi.shape)

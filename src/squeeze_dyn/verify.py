@@ -263,8 +263,9 @@ def run_verification(
 ) -> VerificationReport:
     """Run the oracle-vs-closed-form matrix up to max_n particles.
 
-    An empty ``ns``, ``alphas`` or ``kappas``, or a non-finite alpha,
-    raises ``ValidationError`` before any case is computed.
+    An empty ``ns``, ``alphas`` or ``kappas``, an ``ns`` entry outside
+    [2, max_n], or a non-finite alpha raises ``ValidationError`` before
+    any case is computed.
     """
     if not 2 <= max_n <= N_CAP:
         raise ValidationError(f"max_n must lie in [2, {N_CAP}], got {max_n}")
@@ -276,6 +277,9 @@ def run_verification(
     for name, values in (("ns", ns), ("alphas", alphas), ("kappas", kappas)):
         if len(values) == 0:
             raise ValidationError(f"{name} must hold at least one value")
+    for n in ns:
+        if not 2 <= n <= max_n:
+            raise ValidationError(f"ns entries must lie in [2, max_n = {max_n}], got {n}")
     for alpha in alphas:
         _require_finite("alpha", alpha)
     cases = _case_matrix([(n, alpha) for n in ns for alpha in alphas], kappas, tolerance)

@@ -34,9 +34,8 @@ from squeeze_dyn.oracle import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
-    _generator_rhs,
+    _generator_matrices,
     _moment_rows,
-    _superoperator,
     moments_from_reduced,
     reduced_sums,
 )
@@ -320,6 +319,15 @@ def test_verification_rejects_a_non_finite_alpha_before_any_case(alpha, monkeypa
         run_verification(alphas=(0.2, alpha))
 
 
+@pytest.mark.parametrize("ns", [(10,), (2, 5), (1,), (0, 2), (-3,)])
+def test_verification_rejects_an_n_outside_two_to_max_n_before_any_case(ns, monkeypatch):
+    # run_verification checks "up to max_n particles", and no N below 2
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match=r"ns entries must lie in \[2, max_n = 4\]"):
+        run_verification(max_n=4, ns=ns)
+
+
 def test_css_prime_parameter_is_one():
     m = collective_moments(build_oat_state(4, 0.0))
     assert xi2_prime_from_moments(m) == pytest.approx(1.0, abs=1e-12)
@@ -528,6 +536,43 @@ def test_generator_params_batch_length_mismatch_is_rejected():
         integrate_single_qubit_generator([], np.zeros((0, 2, 2)), 1.0)
 
 
+@pytest.mark.parametrize(
+    "params, chi0",
+    [
+        (LindbladParams.dephasing(0.1), np.eye(3)),
+        (LindbladParams.dephasing(0.1), np.array([0.5, 0.5, 0.5, 0.5])),
+        (LindbladParams.dephasing(0.1), np.zeros((2, 3))),
+        (LindbladParams.dephasing(0.1), np.array(1.0)),
+        (_three_channels(0.1), np.zeros((3, 4))),
+        (_three_channels(0.1), np.zeros((3, 5, 3, 2))),
+    ],
+)
+def test_generator_rejects_chi0_not_ending_in_2x2(params, chi0):
+    def rate(tau):
+        raise AssertionError("a rejected chi0 reached a step")
+
+    for rate_scale in (None, rate):
+        with pytest.raises(ValidationError, match="chi0 must end in two axes of length 2"):
+            integrate_single_qubit_generator(params, chi0, 1.0, rate_scale=rate_scale)
+
+
+@pytest.mark.parametrize("rate_scale", [None, lambda tau: math.cos(0.8 * tau)])
+def test_generator_keeps_each_matrix_own_trace(rate_scale):
+    # the generator is linear and keeps every trace, not only a unit one:
+    # a zero matrix comes back zero and a scaled state comes back scaled,
+    # bit for bit, since the scales are powers of two
+    rng = np.random.default_rng(23)
+    rho = np.stack([UP, PLUS, random_density(rng)])
+    kwargs = dict(delta=0.7, rate_scale=rate_scale, step=1e-2)
+    for params in _three_channels(0.2):
+        evolved = integrate_single_qubit_generator(params, rho, 5.0, **kwargs)
+        zero = integrate_single_qubit_generator(params, np.zeros((2, 2)), 5.0, **kwargs)
+        assert np.array_equal(zero, np.zeros((2, 2)))
+        for scale in (2.0, 2.0**30):
+            scaled = integrate_single_qubit_generator(params, scale * rho, 5.0, **kwargs)
+            assert np.array_equal(scaled, scale * evolved)
+
+
 @pytest.mark.parametrize("unstable", [0, 1, 2])
 def test_generator_params_batch_instability_in_any_member(unstable):
     # the ground state is a fixed point of damping; the excited state drifts
@@ -607,9 +652,8 @@ def test_generator_constant_rate_matches_50_digit_rk4(params, delta):
     n_steps = math.ceil(t / (1e-3 / 0.01))
     rng = np.random.default_rng(20240917)
     chi0 = np.stack([UP if params.s == 1.0 else PLUS] + [random_density(rng) for _ in range(8)])
-    l_const = _superoperator(params.s, 0.0, 0.0, delta) + _superoperator(
-        params.s, params.b, params.c, 0.0
-    )
+    l_delta, l_bc = _generator_matrices([params], delta)
+    l_const = l_delta + l_bc[0]
     propagator = _rk4_propagator_50_digits(mp, l_const, t / n_steps, n_steps)
     x0 = np.array([[mp.mpc(v) for v in row] for row in chi0.reshape(-1, 4)], dtype=object)
     want = x0 @ propagator
@@ -624,17 +668,76 @@ def test_generator_constant_rate_matches_50_digit_rk4(params, delta):
     np.testing.assert_allclose(got, stepped, rtol=0, atol=1e-14)
 
 
+SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |up><down|
+SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |down><up|
+
+
+def _generator_rhs(chi, s, b, c, delta):
+    """-i[H, chi] + L(chi) with H = (delta/2) sigma_z, in Lindblad form:
+    the reference that the closed-form superoperator is checked against.
+
+    The b-weighted flip terms are split so that s = 1 is pure decay
+    toward the ground state (matching the damping channel's direction)
+    and s = 0 pure pumping; the (2c - b)/8 term is pure dephasing.
+    """
+    out = np.zeros_like(chi)
+    if delta != 0.0:
+        h = 0.5 * delta * SIGMA_Z
+        out += -1.0j * (h @ chi - chi @ h)
+    if b != 0.0:
+        p_up = SIGMA_PLUS @ SIGMA_MINUS  # |up><up|
+        p_dn = SIGMA_MINUS @ SIGMA_PLUS  # |down><down|
+        out += -0.5 * b * s * (p_up @ chi + chi @ p_up - 2.0 * SIGMA_MINUS @ chi @ SIGMA_PLUS)
+        out += (
+            -0.5 * b * (1.0 - s) * (p_dn @ chi + chi @ p_dn - 2.0 * SIGMA_PLUS @ chi @ SIGMA_MINUS)
+        )
+    deph = 2.0 * c - b
+    if deph != 0.0:
+        out += -0.25 * deph * (chi - SIGMA_Z @ chi @ SIGMA_Z)
+    return out
+
+
+def _probed_superoperator(s, b, c, delta):
+    """The 4x4 L of ``_generator_rhs`` on row-major vec(chi), one basis
+    matrix per row: vec(rhs(chi)) = vec(chi) @ L."""
+    basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    return np.stack([_generator_rhs(e, s, b, c, delta).reshape(4) for e in basis])
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.7])
+def test_generator_matrices_equal_lindblad_form_for_named_generators(delta):
+    # the three channels' generators at rates verify and the tests use:
+    # the closed form equals the Lindblad form entry for entry
+    params = [p for rate in (0.01, 0.06, 0.2, 1.0) for p in _three_channels(rate)]
+    l_delta, l_bc = _generator_matrices(params, delta)
+    assert l_bc.shape == (len(params), 4, 4)
+    assert np.array_equal(l_delta, _probed_superoperator(0.0, 0.0, 0.0, delta))
+    for p, got in zip(params, l_bc):
+        assert np.array_equal(got, _probed_superoperator(p.s, p.b, p.c, 0.0))
+
+
 def test_generator_superoperators_reproduce_rhs():
+    # for any (s, b, c) only the coherence entries -c may differ, by the
+    # rounding of the Lindblad form's three-term sum
     rng = np.random.default_rng(8)
-    for _ in range(20):
-        chi = random_density(rng)
+    params, deltas = [], []
+    for _ in range(200):
         s, b, c = rng.uniform(0.0, 1.0, size=3)
-        delta, r = rng.uniform(-2.0, 2.0, size=2)
-        l_delta = _superoperator(s, 0.0, 0.0, delta)
-        l_bc = _superoperator(s, b, c, 0.0)
-        got = chi.reshape(4) @ (l_delta + r * l_bc)
-        want = _generator_rhs(chi, s, b * r, c * r, delta).reshape(4)
-        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+        params.append(LindbladParams(s, b, c))
+        deltas.append(rng.uniform(-2.0, 2.0))
+    _, l_bc = _generator_matrices(params, 0.0)
+    for p, delta, got in zip(params, deltas, l_bc):
+        l_delta, _ = _generator_matrices([p], delta)
+        want = _probed_superoperator(p.s, p.b, p.c, delta)
+        assert np.max(np.abs(l_delta + got - want)) <= 2.3e-16
+        # a rate r(tau) scales the dissipator alone, whatever its sign
+        chi, r = random_density(rng), rng.uniform(-2.0, 2.0)
+        np.testing.assert_allclose(
+            chi.reshape(4) @ (l_delta + r * got),
+            _generator_rhs(chi, p.s, p.b * r, p.c * r, delta).reshape(4),
+            rtol=0,
+            atol=1e-14,
+        )
 
 
 def test_moments_contraction_matches_trace_loop():
