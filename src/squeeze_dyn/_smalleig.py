@@ -19,14 +19,19 @@ def min_eig_sym2(a, b, c):
 def min_eig_sym3_entries(a00, a01, a02, a11, a12, a22):
     """Smallest eigenvalue of the real symmetric 3x3 matrix with these
     upper-triangle entries, by Cardano's trigonometric solution of the
-    characteristic cubic; a diagonal matrix gives its smallest entry."""
+    characteristic cubic; a diagonal matrix gives its smallest entry, and
+    so does one whose spread p rounds to 0."""
     off = a01 * a01 + a02 * a02 + a12 * a12
-    diagonal = off == 0.0
     q = (a00 + a11 + a22) / 3.0
     d00, d11, d22 = a00 - q, a11 - q, a22 - q
     p2 = d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * off
-    # p vanishes only for a diagonal matrix, whose value is selected below
-    p = np.where(diagonal, 1.0, np.sqrt(p2 / 6.0))
+    p = np.sqrt(p2 / 6.0)
+    # p is 0 for a multiple of the identity, and also where nonzero
+    # off-diagonal squares are too small for p2/6 to round above 0; every
+    # entry of m - q*I is then below 4e-162 in magnitude, so each
+    # eigenvalue lies within 1e-161 of the diagonal value selected below
+    diagonal = (off == 0.0) | (p == 0.0)
+    p = np.where(diagonal, 1.0, p)
     # det of (m - q*I)/p
     b00, b11, b22 = d00 / p, d11 / p, d22 / p
     b01, b02, b12 = a01 / p, a02 / p, a12 / p

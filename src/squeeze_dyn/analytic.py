@@ -54,8 +54,8 @@ import numpy as np
 
 from ._smalleig import min_eig_sym2, min_eig_sym3_entries
 from .errors import DegenerateDenominator, InvalidKappa, NTooSmall
-from .kappa import KappaModel, kappa_markovian
-from .model import ChannelKind, Definition, TimeGrid
+from .kappa import KappaModel, MarkovianExponential
+from .model import ChannelKind, Definition, TimeGrid, _require_alpha
 from .moments import ZERO_MEAN_SPIN_TOL, CollectiveMoments
 
 __all__ = [
@@ -115,6 +115,7 @@ def oat_coefficients(n: int, alpha: float) -> OatCoefficients:
     every closed form reads; overflow-safe."""
     if n < 2:
         raise NTooSmall(f"need at least 2 particles, got {n}")
+    _require_alpha(alpha)
     c2 = _signed_power(math.cos(2.0 * alpha), n - 2)
     cos_a = math.cos(alpha)
     a_coef = 1.0 - c2
@@ -176,8 +177,11 @@ def xi2_prime_oat(n: int, alpha: float, form: Form = Form.REFERENCE) -> float:
 
 
 def _div_or_inf(num, den):
-    """num / den, tagged +inf where den == 0."""
-    return np.where(den == 0.0, math.inf, num / np.where(den == 0.0, 1.0, den))
+    """num / den, tagged +inf where den == 0; a quotient that overflows is
+    +inf as well, without a warning."""
+    with np.errstate(over="ignore"):
+        quotient = num / np.where(den == 0.0, 1.0, den)
+    return np.where(den == 0.0, math.inf, quotient)
 
 
 def _smallest(x) -> float:
@@ -476,12 +480,14 @@ def squeezing_curve(
 ) -> SqueezingCurve:
     """Evaluate kappa(t) on the grid and map it through the decohered
     closed form, whole arrays at a time; optionally add a Markovian
-    comparison column computed from kappa(t) = exp(-rate*t)."""
+    comparison column computed from kappa(t) = exp(-rate*t). An invalid
+    comparison rate is rejected before any curve is evaluated."""
+    comparison = None if compare_markovian is None else MarkovianExponential(compare_markovian)
     xi2 = _kappa_map(n, oat_coefficients(n, alpha), channel, definition, form)
     ts = grid.nodes()
     kappas = np.asarray(model.evaluate(ts), dtype=float)
     values = _eval_curve(xi2, kappas)
     markov_values = None
-    if compare_markovian is not None:
-        markov_values = _eval_curve(xi2, np.asarray(kappa_markovian(compare_markovian, ts)))
+    if comparison is not None:
+        markov_values = _eval_curve(xi2, np.asarray(comparison.evaluate(ts)))
     return SqueezingCurve(kappas, values, markov_values)

@@ -301,6 +301,10 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
         regime, d_val = reservoir_regime(model.res)
         d = d_val if regime is Regime.STRONG else None
     coarse = args.coarse_step if args.coarse_step is not None else default_coarse_step(d)
+    # the comparison rate is checked before the main report's work
+    comparison = (
+        None if args.compare_markovian is None else MarkovianExponential(args.compare_markovian)
+    )
 
     evaluator = curve_evaluator(cfg.n_particles, cfg.alpha, kind, model, definition, form)
     params: dict[str, object] = {
@@ -315,8 +319,7 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
     params.update(_timestamp_params(args.reproducible))
     report = death_report(evaluator, args.t_max, coarse, params=params)
 
-    if args.compare_markovian is not None:
-        comparison = MarkovianExponential(rate=args.compare_markovian)
+    if comparison is not None:
         comp_eval = curve_evaluator(
             cfg.n_particles, cfg.alpha, kind, comparison, definition, form
         )

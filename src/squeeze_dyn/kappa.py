@@ -71,9 +71,10 @@ def _check_rate(rate: float) -> None:
 
 
 def kappa_markovian(rate: float, t: float | np.ndarray) -> float | np.ndarray:
-    """exp(-rate*t): strictly decreasing, in (0, 1]."""
+    """exp(-rate*t): decreasing, in [0, 1]; 0 where rate*t overflows."""
     _check_rate(rate)
-    return np.exp(-rate * _check_times(t))
+    with np.errstate(over="ignore"):
+        return np.exp(-rate * _check_times(t))
 
 
 def _lorentzian_value(res: ReservoirConfig, arr: np.ndarray) -> np.ndarray:
@@ -188,65 +189,84 @@ class KappaSeries:
 
 
 # base block of the history-sum tiling in ``_solve_general``: pairs closer
-# than a block are summed directly, the rest by FFT products
+# than a block are summed by the block map, the rest by FFT products
 _BLOCK = 64
+
+
+def _block_map(fvals: np.ndarray, h: float, rows: int) -> np.ndarray:
+    """The (rows, rows + 2) map from one block's inputs to its kappa
+    increments.
+
+    A block's inputs are kappa (column 0) and the slope g (column 1) at the
+    step before it, and u_i = f_i/2 + far_i (column 2 + i), the part of
+    step i's history term known when the block starts. Row i holds the
+    coefficients of kappa_i - kappa_start: the scheme is linear, so its own
+    recurrence, run on the rows + 2 unit inputs at once, gives them.
+    """
+    unit = np.eye(rows + 2)
+    inc = np.zeros((rows, rows + 2))  # kappa_i - kappa_start
+    kap = np.zeros((rows, rows + 2))  # kappa_i, which the near-field sums read
+    last = np.zeros(rows + 2)
+    g = unit[1]
+    half_f0 = 0.5 * fvals[0]
+    for i in range(rows):
+        near = (fvals[i:0:-1, None] * kap[:i]).sum(axis=0)
+        pred = unit[0] + (last + h * g)
+        g_p = -h * (unit[2 + i] + half_f0 * pred + near)
+        inc[i] = last = last + 0.5 * h * (g + g_p)
+        kap[i] = unit[0] + last
+        g = -h * (unit[2 + i] + half_f0 * kap[i] + near)
+    return inc
 
 
 def _solve_general(fvals: np.ndarray, h: float, out: np.ndarray) -> None:
     """Fill ``out`` (length M) with kappa at the grid nodes in O(M log^2 M).
 
     ``fvals[j]`` must hold the kernel sampled at j*h. The predictor at step
-    n needs S_n = sum_{j=1}^{n-1} f[n-j] kappa_j and the corrector S_{n+1},
-    so each step forms one new history sum and reuses it in the next step.
-    That sum is tiled (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat.
-    Comput. 6, 532 (1985)): sources in the target's own block of
-    ``_BLOCK`` nodes enter by a direct dot; once kappa_{e-1} is known at a
-    block edge e, the sources [e - L, e) are convolved into the far-field
-    sums of the targets [e, e + L) with one FFT of size 2L, where L is the
-    largest ``_BLOCK * 2**l`` with e/L odd. These squares cover every pair
-    of blocks exactly once. No BLAS call is long enough to be split across
-    threads, so the output does not depend on the thread count.
+    m - 1 -> m needs S_{m-1} = sum_{j=1}^{m-2} f[m-1-j] kappa_j and the
+    corrector S_m. That sum is tiled (Hairer, Lubich and Schlichte, SIAM J.
+    Sci. Stat. Comput. 6, 532 (1985)) into blocks of ``_BLOCK`` nodes. Once
+    kappa_{e-1} is known at a block edge e, the sources [e - L, e) are
+    convolved into the far-field sums of the targets [e, e + L) with one
+    FFT of size 2L, where L is the largest ``_BLOCK * 2**l`` with e/L odd.
+    These squares cover every pair of blocks exactly once. Sources in the
+    target's own block enter through ``_block_map``, built once per solve:
+    each block's kappa values are its start value plus one elementwise
+    product and row sum of that map with the block's inputs. No BLAS call
+    is made, so the output does not depend on the thread count.
     """
     fft = np.fft  # numpy imports its fft module on first use
     M = fvals.shape[0]
-    far = np.zeros(M)  # far-field part of each S_m
+    out[0] = k_s = 1.0
+    if M < 2:
+        return
+    g_s = 0.0  # the slope at t = 0: the history integral vanishes there
+    inc = _block_map(fvals, h, min(_BLOCK, M - 1))
+    u = 0.5 * fvals  # f_m/2 plus the far-field part of S_m
+    half_f0 = u[0]
     spectra: dict[int, np.ndarray] = {}  # L -> rfft of f[0:2L], zero-padded
-    # frev[M-1-j] = f[j]: the near-field dot reads it forward, as numpy
-    # reads a reversed view after copying it to a contiguous buffer
-    frev = fvals[::-1].copy()
-    top = M - 1
-    half_f = (0.5 * fvals).tolist()  # the same bits as 0.5 * f[j] on floats
-    kap = memoryview(out)
-    far_m = memoryview(far)
-    # (-h)*x, (0.5*f0)*x and (0.5*h)*x are how Python groups -h*x,
-    # 0.5*f0*x and 0.5*h*x
-    neg_h, half_h, half_f0 = -h, 0.5 * h, half_f[0]
-    kap[0] = k_n = 1.0
-    g_n = 0.0
-    for m in range(1, M):  # step m - 1 -> m forms S_m, the corrector's sum
-        base = m - m % _BLOCK
-        if base == m:  # block edge: add the square [m - L, m) x [m, m + L)
+    for b in range(0, M, _BLOCK):
+        if b:  # block edge: add the square [b - L, b) x [b, b + L)
             L = _BLOCK
-            while (m // L) % 2 == 0:
+            while (b // L) % 2 == 0:
                 L *= 2
             spec = spectra.get(L)
             if spec is None:
                 spec = spectra[L] = fft.rfft(fvals[: 2 * L], 2 * L)
-            src = out[m - L:m]
-            if m == L:  # kappa_0 enters through its own end-point term
+            src = out[b - L:b]
+            if b == L:  # kappa_0 enters through its own end-point term
                 src = src.copy()
                 src[0] = 0.0
-            width = min(L, M - m)
-            far[m:m + width] += fft.irfft(fft.rfft(src, 2 * L) * spec, 2 * L)[L:L + width]
-        hist = far_m[m]
-        lo = max(base, 1)
-        if lo < m:
-            hist += float(np.dot(frev[top - m + lo:top], out[lo:m]))
-        hf_m = half_f[m]
-        pred = k_n + h * g_n
-        g_p = neg_h * (hf_m + half_f0 * pred + hist)
-        kap[m] = k_n = k_n + half_h * (g_n + g_p)
-        g_n = neg_h * (hf_m + half_f0 * k_n + hist)  # the next step's g_n
+            width = min(L, M - b)
+            u[b:b + width] += fft.irfft(fft.rfft(src, 2 * L) * spec, 2 * L)[L:L + width]
+        m0 = max(b, 1)  # the first block starts after kappa_0
+        n = min(b + _BLOCK, M) - m0
+        x = np.concatenate(((k_s, g_s), u[m0:m0 + n]))
+        np.add(k_s, (inc[:n, :n + 2] * x).sum(axis=1), out=out[m0:m0 + n])
+        end = m0 + n - 1
+        k_s = float(out[end])
+        # the next block's start slope: g at the block's last node
+        g_s = -h * (u[end] + half_f0 * k_s + (fvals[n - 1:0:-1] * out[m0:end]).sum())
 
 
 def _solve_exponential(
@@ -283,12 +303,13 @@ def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
     second-order Heun predictor-corrector step. The kernel built by
     ``MemoryKernel.exponential`` takes O(M) time in the node count M
     (about 5 ms at M = 20,001): its history sum follows a one-term
-    recurrence. Any other kernel takes O(M log^2 M) (about 0.04 s at
-    M = 20,001, one BLAS thread): its history sum is tiled
-    into short direct dots and FFT products. Neither path's output depends
-    on the BLAS thread setting. The grid must start at t = 0 (the history
-    integral anchors there) and satisfy the stability guard
-    step*sqrt(|f(0)|) < 0.1.
+    recurrence. Any other kernel takes O(M log^2 M) (about 14 ms at
+    M = 20,001): its history sum is tiled into blocks of ``_BLOCK``
+    nodes, with FFT products across blocks, and each block's values come
+    from one precomputed linear map of the block's inputs. Neither path
+    makes a BLAS call, so neither output depends on the BLAS thread
+    setting. The grid must start at t = 0 (the history integral anchors
+    there) and satisfy the stability guard step*sqrt(|f(0)|) < 0.1.
     """
     if grid.t_start != 0.0:
         raise ValidationError("solver grids must start at t = 0")

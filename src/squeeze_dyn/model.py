@@ -60,6 +60,15 @@ def _require_finite(name: str, x: float) -> float:
     return float(x)
 
 
+def _require_alpha(alpha: float) -> float:
+    """A finite twisting angle whose double is finite too: the closed forms
+    take cos(2*alpha)."""
+    _require_finite("alpha", alpha)
+    if not math.isfinite(2.0 * alpha):
+        raise NonFiniteParameter(f"2*alpha overflows for alpha = {alpha!r}")
+    return float(alpha)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """N exchange-symmetric spin-1/2 particles, twisted by angle alpha.
@@ -83,7 +92,7 @@ def validate_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleWarning, ...]:
     """
     if int(cfg.n_particles) != cfg.n_particles or cfg.n_particles < 1:
         raise NonPositiveN(f"n_particles must be a positive integer, got {cfg.n_particles}")
-    _require_finite("alpha", cfg.alpha)
+    _require_alpha(cfg.alpha)
     _require_finite("delta", cfg.delta)
 
     warns: list[EnsembleWarning] = []

@@ -28,7 +28,7 @@ import numpy as np
 from ._format import SCHEMA
 from .analytic import Form, OatCoefficients, _kappa_map, oat_coefficients, xi2_oat
 from .errors import ValidationError
-from .model import ChannelKind, Definition, LindbladParams, _require_finite
+from .model import ChannelKind, Definition, LindbladParams, _require_alpha
 from .moments import _xi2_prime_rows, _xi2_rows
 from .oracle import (
     N_CAP,
@@ -263,12 +263,13 @@ def run_verification(
 ) -> VerificationReport:
     """Run the oracle-vs-closed-form matrix up to max_n particles.
 
-    An empty ``ns``, ``alphas`` or ``kappas``, an ``ns`` entry outside
-    [2, max_n], or a non-finite alpha raises ``ValidationError`` before
-    any case is computed.
+    A ``max_n`` that is not an integer in [2, ``N_CAP``], an empty ``ns``,
+    ``alphas`` or ``kappas``, an ``ns`` entry that is not an integer in
+    [2, max_n], or an alpha whose double is not finite raises
+    ``ValidationError`` before any case is computed.
     """
-    if not 2 <= max_n <= N_CAP:
-        raise ValidationError(f"max_n must lie in [2, {N_CAP}], got {max_n}")
+    if not (isinstance(max_n, (int, np.integer)) and 2 <= max_n <= N_CAP):
+        raise ValidationError(f"max_n must be an integer in [2, {N_CAP}], got {max_n!r}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
     if ns is None:
@@ -278,10 +279,12 @@ def run_verification(
         if len(values) == 0:
             raise ValidationError(f"{name} must hold at least one value")
     for n in ns:
+        if not isinstance(n, (int, np.integer)):
+            raise ValidationError(f"ns entries must be integers, got {n!r}")
         if not 2 <= n <= max_n:
             raise ValidationError(f"ns entries must lie in [2, max_n = {max_n}], got {n}")
     for alpha in alphas:
-        _require_finite("alpha", alpha)
+        _require_alpha(alpha)
     cases = _case_matrix([(n, alpha) for n in ns for alpha in alphas], kappas, tolerance)
     # two-particle reduction: the variance form collapses to 1/(1 + sin a)
     reductions = [

@@ -26,7 +26,7 @@ from squeeze_dyn import (
     xi2_prime_oat,
 )
 from squeeze_dyn.analytic import _kappa_map, _zeta, xi2_oat_curve
-from squeeze_dyn.errors import DegenerateDenominator, InvalidKappa, NTooSmall
+from squeeze_dyn.errors import DegenerateDenominator, InvalidKappa, NTooSmall, ValidationError
 
 PI_6 = math.pi / 6
 
@@ -454,3 +454,24 @@ def test_channel_xi2_value_is_a_float():
         for definition in Definition:
             value = channel_xi2(10, 0.2, 0.5, ChannelKind.DAMPING, definition, form)
             assert type(value) is float
+
+
+@pytest.mark.parametrize("alpha", [1e308, -1e308, math.inf, math.nan])
+def test_closed_forms_reject_an_alpha_whose_double_is_not_finite(alpha):
+    # math.cos(2*alpha) raised a bare "math domain error" at 1e308
+    with pytest.raises(ValidationError):
+        oat_coefficients(5, alpha)
+    with pytest.raises(ValidationError):
+        xi2_oat(2, alpha)
+
+
+def test_squeezing_curve_checks_the_comparison_rate_before_any_curve():
+    class Refusing(MarkovianExponential):
+        def evaluate(self, t):
+            raise AssertionError("the main curve was evaluated first")
+
+    grid = TimeGrid(0.0, 10.0, 0.5)
+    with pytest.raises(ValidationError, match="rate must be positive and finite"):
+        squeezing_curve(
+            5, 0.3, ChannelKind.DEPHASING, Refusing(rate=0.01), grid, compare_markovian=0.0
+        )

@@ -938,3 +938,85 @@ def test_main_builds_one_parser_per_process(tmp_path, monkeypatch, capsys):
     assert len(built) == 1
     # build_parser itself still makes a parser of the caller's own
     assert build_parser() is not build_parser()
+
+
+def _csv_rows(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return np.array([[float(cell) for cell in line.split(",")] for line in lines[1:]])
+
+
+def test_evolve_writes_no_nan_where_the_3x3_spread_rounds_to_zero(tmp_path):
+    # near t = 9671 the Markovian kappa is about 9e-43, where the 3x3
+    # eigenvalue's spread p rounded to 0 and 46 rows read nan
+    out = tmp_path / "curve.csv"
+    args = [
+        "evolve", "--n", "1000", "--channel", "depolarizing", "--definition", "xi-prime",
+        "--form", "exact", "--kappa", "lorentzian", "--t-max", "1e4",
+        "--compare-markovian", "0.01", "--dt", "0.3", "--reproducible", "--output", str(out),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 0
+    assert "nan" not in out.read_text()
+    rows = _csv_rows(out)
+    assert rows.shape == (33334, 4)
+    # kappa this small leaves the maximally mixed state's value, N
+    assert np.all(rows[(rows[:, 0] >= 9670) & (rows[:, 0] <= 9685), 3] == 1000.0)
+
+
+def test_evolve_rejects_an_alpha_whose_double_overflows(tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    args = [
+        "evolve", "--n", "2", "--channel", "dephasing", "--alpha", "1e308",
+        "--kappa", "markovian", "--t-max", "1", "--output", str(out),
+    ]
+    assert run(args) == 2
+    assert "2*alpha overflows for alpha = 1e+308" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, intervals, comparison",
+    [
+        (
+            ["--n", "5", "--channel", "depolarizing", "--kappa", "lorentzian",
+             "--gamma", "10", "--t-max", "1e4"],
+            [[0.0, 0.11442681750333322]],
+            None,
+        ),
+        (
+            ["--n", "1000", "--channel", "damping", "--kappa", "markovian",
+             "--rate", "1e4", "--t-max", "400", "--compare-markovian", "1e308"],
+            [[0.0, 0.0038105010986328124]],
+            [[0.0, 3.814697265625e-07]],
+        ),
+    ],
+    ids=["overflowing-quotient", "overflowing-comparison-rate"],
+)
+def test_death_times_warns_nothing_where_a_value_overflows(tmp_path, args, intervals, comparison):
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["death-times", *args, "--reproducible", "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["intervals"] == intervals
+    if comparison is not None:
+        assert report["markovian_comparison"]["intervals"] == comparison
+
+
+def _refuse_evaluation(self, t):
+    raise AssertionError("the main curve was evaluated before the comparison rate was checked")
+
+
+@pytest.mark.parametrize("command", ["evolve", "death-times"])
+@pytest.mark.parametrize("rate", ["0", "-1", "inf", "nan"])
+def test_a_bad_comparison_rate_is_rejected_before_the_main_curve(
+    command, rate, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli.LorentzianClosedForm, "evaluate", _refuse_evaluation)
+    args = [
+        command, "--n", "5", "--channel", "depolarizing", "--kappa", "lorentzian",
+        "--gamma", "10", "--t-max", "1e4", "--compare-markovian", rate,
+    ]
+    assert run(args) == 2
+    assert "rate must be positive and finite" in capsys.readouterr().err

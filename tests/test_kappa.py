@@ -1,10 +1,15 @@
+import functools
 import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import squeeze_dyn
 from squeeze_dyn import (
     KappaSeries,
     MemoryKernel,
@@ -296,46 +301,6 @@ def test_solver_paths_agree(res, grid, monkeypatch):
     assert np.max(np.abs(recurrence - general)) <= 1e-12
 
 
-def _reference_general(fvals, h, out):
-    """``_solve_general`` as it read before its loop invariants were
-    hoisted, kept verbatim: the bit-for-bit reference."""
-    fft = np.fft
-    M = fvals.shape[0]
-    far = np.zeros(M)
-    spectra = {}
-    f = memoryview(fvals)
-    kap = memoryview(out)
-    far_m = memoryview(far)
-    f0 = f[0]
-    kap[0] = 1.0
-    hist = 0.0
-    for n in range(M - 1):
-        k_n = kap[n]
-        g_n = 0.0 if n == 0 else -h * (0.5 * f[n] + 0.5 * f0 * k_n + hist)
-        m = n + 1
-        base = m - m % _BLOCK
-        if base == m:
-            L = _BLOCK
-            while (m // L) % 2 == 0:
-                L *= 2
-            spec = spectra.get(L)
-            if spec is None:
-                spec = spectra[L] = fft.rfft(fvals[: 2 * L], 2 * L)
-            src = out[m - L:m]
-            if m == L:
-                src = src.copy()
-                src[0] = 0.0
-            width = min(L, M - m)
-            far[m:m + width] += fft.irfft(fft.rfft(src, 2 * L) * spec, 2 * L)[L:L + width]
-        hist = far_m[m]
-        lo = max(base, 1)
-        if lo < m:
-            hist += float(np.dot(fvals[m - lo:0:-1], out[lo:m]))
-        pred = k_n + h * g_n
-        g_p = -h * (0.5 * f[m] + 0.5 * f0 * pred + hist)
-        kap[m] = k_n + 0.5 * h * (g_n + g_p)
-
-
 def _reference_exponential(fvals, h, c, gamma, out):
     """``_solve_exponential`` as it read before its loop invariants were
     hoisted, kept verbatim: the bit-for-bit reference."""
@@ -364,27 +329,90 @@ def _sign_changing(u):
     return 0.2 * (1.0 - 0.2 * u) * np.exp(-0.5 * u)
 
 
-@pytest.mark.parametrize("n_nodes", [2, 3, 64, 65, 128, 129, 4097, 20001])
+_KERNELS = {
+    "exponential": MemoryKernel.exponential(STRONG),
+    "damped-cosine": MemoryKernel(evaluator=_damped_cosine),
+    "sign-changing": MemoryKernel(evaluator=_sign_changing),
+}
+# node counts at and beside the first block edges, and two long grids
+_NODE_COUNTS = [2, 3, 64, 65, 128, 129, 4097, 20001]
+
+
+def _solve_loop_longdouble(fvals, h):
+    """``_solve_loop``'s scheme with every operation in long double and the
+    history sum as one dot per step."""
+    f = np.asarray(fvals, dtype=np.longdouble)
+    h, half = np.longdouble(h), np.longdouble(0.5)
+    M = len(f)
+    frev = f[::-1].copy()  # frev[M-1-j] = f[j]
+    out = np.zeros(M, dtype=np.longdouble)
+    out[0] = 1
+    g_n = np.longdouble(0)
+    for m in range(1, M):
+        # f_m/2 kappa_0 + sum_{j=1}^{m-1} f[m-j] kappa_j
+        s = half * f[m] + np.dot(frev[M - m:M - 1], out[1:m])
+        pred = out[m - 1] + h * g_n
+        out[m] = out[m - 1] + half * h * (g_n - h * (s + half * f[0] * pred))
+        g_n = -h * (s + half * f[0] * out[m])
+    return out
+
+
+@functools.cache
+def _long_double_reference(name, step):
+    """The kernel's samples and the long-double scheme at the largest node
+    count; the scheme is causal, so each smaller count reads a prefix."""
+    fvals = np.asarray(_KERNELS[name](np.arange(max(_NODE_COUNTS)) * step), dtype=float)
+    return fvals, _solve_loop_longdouble(fvals, step)
+
+
+@pytest.mark.parametrize("n_nodes", _NODE_COUNTS)
 @pytest.mark.parametrize("step", [0.005, 0.05, 0.125])
-@pytest.mark.parametrize(
-    "kernel",
-    [
-        MemoryKernel.exponential(STRONG),
-        MemoryKernel(evaluator=_damped_cosine),
-        MemoryKernel(evaluator=_sign_changing),
-    ],
-    ids=["exponential", "damped-cosine", "sign-changing"],
-)
-def test_solver_loops_round_as_the_reference_loops(n_nodes, step, kernel):
+@pytest.mark.parametrize("name", list(_KERNELS))
+def test_general_solver_within_1e_14_of_the_long_double_scheme(n_nodes, step, name):
+    fvals, reference = _long_double_reference(name, step)
+    got = np.empty(n_nodes)
+    _solve_general(fvals[:n_nodes].copy(), step, got)
+    assert got[0] == 1.0
+    assert np.max(np.abs(got - reference[:n_nodes])) <= 1e-14
+
+
+@pytest.mark.parametrize("n_nodes", _NODE_COUNTS)
+@pytest.mark.parametrize("step", [0.005, 0.05, 0.125])
+def test_exponential_solver_rounds_as_the_reference_loop(n_nodes, step):
+    kernel = _KERNELS["exponential"]
     fvals = np.asarray(kernel(np.arange(n_nodes) * step), dtype=float)
     got, want = np.empty(n_nodes), np.empty(n_nodes)
-    _solve_general(fvals, step, got)
-    _reference_general(fvals, step, want)
+    kappa_module._solve_exponential(fvals, step, *kernel._exponential, got)
+    _reference_exponential(fvals, step, *kernel._exponential, want)
     assert got.tobytes() == want.tobytes()
-    if kernel._exponential is not None:
-        kappa_module._solve_exponential(fvals, step, *kernel._exponential, got)
-        _reference_exponential(fvals, step, *kernel._exponential, want)
-        assert got.tobytes() == want.tobytes()
+
+
+def test_general_solver_output_does_not_depend_on_the_blas_thread_count():
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from squeeze_dyn import MemoryKernel, TimeGrid, solve_volterra\n"
+        "kernel = MemoryKernel(evaluator=lambda u: 0.3 * np.exp(-0.05 * u) * np.cos(0.7 * u))\n"
+        "series = solve_volterra(kernel, TimeGrid(0.0, 100.0, 0.005))\n"
+        "assert series.grid.n_nodes == 20001\n"
+        "sys.stdout.write(series.values.tobytes().hex())\n"
+    )
+    src = os.path.dirname(os.path.dirname(squeeze_dyn.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": src,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+            "MKL_NUM_THREADS": threads,
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        outputs.append(done.stdout)
+    assert len(outputs[0]) == 20001 * 16
+    assert outputs[0] == outputs[1]
 
 
 def test_solver_stability_guard():

@@ -47,6 +47,15 @@ def test_validate_rejects_bad_n_and_nonfinite():
         validate_ensemble(EnsembleConfig(3, 0.1, math.inf))
 
 
+@pytest.mark.parametrize("alpha", [1e308, -1e308, 8.99e307])
+def test_validate_rejects_an_alpha_whose_double_overflows(alpha):
+    # the closed forms take cos(2*alpha)
+    with pytest.raises(NonFiniteParameter, match="2\\*alpha overflows"):
+        validate_ensemble(EnsembleConfig(3, alpha))
+    # the largest doubles that still double finitely pass
+    validate_ensemble(EnsembleConfig(3, 8.98e307))
+
+
 def test_reservoir_regime_strong_d_value():
     regime, d = reservoir_regime(ReservoirConfig(gamma=0.01, eta0=10.0))
     assert regime is Regime.STRONG

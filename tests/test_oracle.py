@@ -328,6 +328,36 @@ def test_verification_rejects_an_n_outside_two_to_max_n_before_any_case(ns, monk
         run_verification(max_n=4, ns=ns)
 
 
+@pytest.mark.parametrize("ns", [(3.0,), (2.5,), (2, "3"), (np.float64(3.0),)])
+def test_verification_rejects_an_n_that_is_not_an_integer_before_any_case(ns, monkeypatch):
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match="ns entries must be integers"):
+        run_verification(max_n=4, ns=ns)
+
+
+@pytest.mark.parametrize("max_n", [2.5, 4.0, "4"])
+def test_verification_rejects_a_max_n_that_is_not_an_integer(max_n, monkeypatch):
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match="max_n must be an integer"):
+        run_verification(max_n=max_n)
+
+
+def test_verification_takes_numpy_integer_ns():
+    report = run_verification(max_n=3, ns=(np.int64(3),), include_generator=False)
+    plain = run_verification(max_n=3, ns=(3,), include_generator=False)
+    assert report.all_passed
+    assert report.cases == plain.cases
+
+
+def test_verification_rejects_an_alpha_whose_double_overflows_before_any_case(monkeypatch):
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match="2\\*alpha overflows"):
+        run_verification(alphas=(0.2, 1e308))
+
+
 def test_css_prime_parameter_is_one():
     m = collective_moments(build_oat_state(4, 0.0))
     assert xi2_prime_from_moments(m) == pytest.approx(1.0, abs=1e-12)
