@@ -49,12 +49,10 @@ from .model import (
 from .moments import CollectiveMoments
 from .oracle import (
     apply_channel,
-    apply_field_rotation,
     build_oat_state,
     collective_moments,
     integrate_single_qubit_generator,
     kraus_operators,
-    validate_density_matrix,
     xi2_from_moments,
     xi2_prime_from_moments,
 )
@@ -101,12 +99,10 @@ __all__ = [
     # moments / oracle
     "CollectiveMoments",
     "apply_channel",
-    "apply_field_rotation",
     "build_oat_state",
     "collective_moments",
     "integrate_single_qubit_generator",
     "kraus_operators",
-    "validate_density_matrix",
     "xi2_from_moments",
     "xi2_prime_from_moments",
     # death/revival

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import math
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -27,7 +28,7 @@ from .analytic import (
     squeezing_curve,
 )
 from .deathtimes import death_report, default_coarse_step
-from .errors import SqueezeDynError, ValidationError, VerificationFailure
+from .errors import NonFiniteParameter, SqueezeDynError, ValidationError, VerificationFailure
 from .kappa import (
     KappaModel,
     LorentzianClosedForm,
@@ -246,8 +247,12 @@ def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> EnsembleCon
         if args.n < 3:
             raise ValidationError("--alpha is required for N = 2 (no optimizer bracket)")
         alpha, _ = optimal_alpha(args.n)
-    cfg = EnsembleConfig(n_particles=args.n, alpha=alpha, delta=delta)
-    for warning in validate_ensemble(cfg):
+    cfg = EnsembleConfig(n_particles=args.n, alpha=alpha)
+    warns = validate_ensemble(cfg)
+    # evolve's recorded field strength, checked after alpha
+    if not math.isfinite(delta):
+        raise NonFiniteParameter(f"delta must be finite, got {delta!r}")
+    for warning in warns:
         print(f"warning: {warning.value} (alpha = {alpha!r})", file=sys.stderr)
     return cfg
 
@@ -265,7 +270,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     params: dict[str, object] = {
         "n": cfg.n_particles,
         "alpha": cfg.alpha,
-        "delta": cfg.delta,
+        "delta": args.delta,
         "channel": kind.value,
         "definition": definition.value,
         "form": form.value,

@@ -47,15 +47,22 @@ def _bisect(
 ) -> np.ndarray:
     """Boundaries of {xi^2 < 1} inside the brackets [lo, hi] (narrowed in
     place), whose ends differ in the predicate (``squeezed_hi`` at hi), all
-    bisected together until each is at most ``REFINE_TOL`` wide."""
+    bisected together until each is at most ``REFINE_TOL`` wide or its
+    ends are adjacent doubles (above t = 2^33 they are more than
+    ``REFINE_TOL`` apart).
+
+    Midpoints are taken as 0.5*lo + 0.5*hi, which rounds as 0.5*(lo + hi)
+    does but cannot overflow near the largest doubles.
+    """
     live = np.flatnonzero(hi - lo > REFINE_TOL)
     while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
+        mid = 0.5 * lo[live] + 0.5 * hi[live]
+        inside = (lo[live] < mid) & (mid < hi[live])
         same = _squeezed(evaluator, mid) == squeezed_hi[live]
         hi[live[same]] = mid[same]
         lo[live[~same]] = mid[~same]
-        live = live[hi[live] - lo[live] > REFINE_TOL]
-    return 0.5 * (lo + hi)
+        live = live[inside & (hi[live] - lo[live] > REFINE_TOL)]
+    return 0.5 * lo + 0.5 * hi
 
 
 def squeezed_intervals(

@@ -56,6 +56,7 @@ __all__ = [
 # switch to the series limit when |2*eta0*gamma - gamma^2| < tol * gamma^2,
 # avoiding cancellation near d = 0
 _CRITICAL_DISC_TOL = 1e-14
+_FLOAT_MAX = np.finfo(float).max
 
 
 def _check_times(t: np.ndarray | float) -> np.ndarray:
@@ -78,21 +79,28 @@ def kappa_markovian(rate: float, t: float | np.ndarray) -> float | np.ndarray:
 
 
 def _lorentzian_value(res: ReservoirConfig, arr: np.ndarray) -> np.ndarray:
-    """Branch dispatch without the t >= 0 guard (analytic expression)."""
+    """Branch dispatch without the t >= 0 guard (analytic expression).
+
+    Near the largest doubles gamma*t and d*t overflow. The envelope
+    exp(-gamma*t/2) is then exactly 0, so its partner is capped at the
+    largest double: 0 * inf and cos(inf) would make nan.
+    """
     gam = res.gamma
     disc = res.discriminant
-    if abs(disc) < _CRITICAL_DISC_TOL * gam * gam:
-        return np.exp(-gam * arr / 2.0) * (1.0 + gam * arr / 2.0)
-    if disc > 0:
-        d = math.sqrt(disc)
-        x = d * arr / 2.0
-        return np.exp(-gam * arr / 2.0) * (np.cos(x) + (gam / d) * np.sin(x))
-    # d -> i*dh: cosh/sinh recombined into plain exponentials so large t
-    # cannot overflow
-    dh = math.sqrt(-disc)
-    return 0.5 * (1.0 + gam / dh) * np.exp((dh - gam) * arr / 2.0) + 0.5 * (
-        1.0 - gam / dh
-    ) * np.exp(-(dh + gam) * arr / 2.0)
+    with np.errstate(over="ignore"):
+        if abs(disc) < _CRITICAL_DISC_TOL * gam * gam:
+            u = np.minimum(gam * arr / 2.0, _FLOAT_MAX)
+            return np.exp(-u) * (1.0 + u)
+        if disc > 0:
+            d = math.sqrt(disc)
+            x = np.minimum(d * arr / 2.0, _FLOAT_MAX)
+            return np.exp(-gam * arr / 2.0) * (np.cos(x) + (gam / d) * np.sin(x))
+        # d -> i*dh: cosh/sinh recombined into plain exponentials so large t
+        # cannot overflow
+        dh = math.sqrt(-disc)
+        return 0.5 * (1.0 + gam / dh) * np.exp((dh - gam) * arr / 2.0) + 0.5 * (
+            1.0 - gam / dh
+        ) * np.exp(-(dh + gam) * arr / 2.0)
 
 
 def kappa_lorentzian(res: ReservoirConfig, t: float | np.ndarray) -> float | np.ndarray:

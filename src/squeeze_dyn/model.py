@@ -2,8 +2,8 @@
 definition enumerations, time grids, and generator parameters.
 
 All types are immutable value objects and safe to share between threads.
-Units are dimensionless throughout; gamma, eta0 and delta carry
-inverse-time meaning by convention only.
+Units are dimensionless throughout; gamma and eta0 carry inverse-time
+meaning by convention only.
 """
 
 from __future__ import annotations
@@ -74,13 +74,11 @@ class EnsembleConfig:
     """N exchange-symmetric spin-1/2 particles, twisted by angle alpha.
 
     ``alpha`` is the accumulated twisting angle (pair coupling times time,
-    uniform over pairs); ``delta`` the external-field strength driving a
-    collective z rotation.
+    uniform over pairs).
     """
 
     n_particles: int
     alpha: float
-    delta: float = 0.0
 
 
 def validate_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleWarning, ...]:
@@ -88,18 +86,18 @@ def validate_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleWarning, ...]:
 
     Angles outside (0, pi/2) are accepted: the closed forms stay
     evaluable and the endpoints (product state at m*pi, graph state at
-    odd multiples of pi/2) are useful boundary cases.
+    odd multiples of pi/2) are useful boundary cases. The endpoint test's
+    tolerance 1e-12 |alpha/(pi/2)| is applied only while it is <= 1e-6.
     """
     if int(cfg.n_particles) != cfg.n_particles or cfg.n_particles < 1:
         raise NonPositiveN(f"n_particles must be a positive integer, got {cfg.n_particles}")
     _require_alpha(cfg.alpha)
-    _require_finite("delta", cfg.delta)
 
     warns: list[EnsembleWarning] = []
     half_pi_units = cfg.alpha / (math.pi / 2)
     nearest = round(half_pi_units)
     tol = 1e-12 * max(1.0, abs(half_pi_units))
-    if abs(half_pi_units - nearest) <= tol:
+    if tol <= 1e-6 and abs(half_pi_units - nearest) <= tol:
         if nearest % 2 == 0:
             warns.append(EnsembleWarning.PRODUCT_STATE)
         else:
@@ -169,7 +167,7 @@ class LindbladParams:
     b weights the population flip terms (s of it pumping down, 1-s up),
     c sets the coherence decay rate. Named specializations:
 
-    - dephasing:    b = 0, c = gamma, any s
+    - dephasing:    s = 0, b = 0, c = gamma (s moves nothing when b = 0)
     - depolarizing: s = 1/2, b = c = gamma
     - damping:      s = 1, b = 2c = gamma (decay toward the ground state)
     """
@@ -187,8 +185,8 @@ class LindbladParams:
             raise ValidationError("b and c must be nonnegative")
 
     @classmethod
-    def dephasing(cls, gamma: float, s: float = 0.0) -> "LindbladParams":
-        return cls(s=s, b=0.0, c=gamma)
+    def dephasing(cls, gamma: float) -> "LindbladParams":
+        return cls(s=0.0, b=0.0, c=gamma)
 
     @classmethod
     def depolarizing(cls, gamma: float) -> "LindbladParams":

@@ -32,12 +32,18 @@ in list order from zeros. (Folding the operators into one superoperator
 would round differently.) The moments and the squeezing parameters of a
 stack are taken row by row in the same way (``_moment_rows`` here, the
 row functions in ``moments``).
+
+``integrate_single_qubit_generator`` steps only constant rates: the
+time-local rate -2 kappa'/kappa is singular at every zero of a
+non-Markovian kappa(t). It has no field term: the three channels are
+phase-covariant, so a collective z rotation moves no squeezing value
+(Breuer & Petruccione, *The Theory of Open Quantum Systems*, sec. 10.1).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,7 +63,6 @@ __all__ = [
     "SIGMA_Y",
     "SIGMA_Z",
     "build_oat_state",
-    "apply_field_rotation",
     "kraus_operators",
     "apply_channel",
     "collective_moments",
@@ -65,7 +70,6 @@ __all__ = [
     "moments_from_reduced",
     "xi2_from_moments",
     "xi2_prime_from_moments",
-    "validate_density_matrix",
     "integrate_single_qubit_generator",
 ]
 
@@ -110,19 +114,6 @@ def build_oat_state(n: int, alpha: float) -> np.ndarray:
     s = _spin_sums(n)
     pair_sum = (s.astype(float) ** 2 - n) / 2.0
     return np.exp(-0.5j * alpha * pair_sum) / math.sqrt(2.0**n)
-
-
-def apply_field_rotation(state: np.ndarray, delta: float, t: float) -> np.ndarray:
-    """Collective z rotation exp(-i (delta*t/2) sigma_z) per qubit.
-
-    Accepts a state vector or a density matrix; pure states stay pure.
-    """
-    dim = state.shape[0]
-    n = int(round(math.log2(dim)))
-    phase = np.exp(-0.5j * delta * t * _spin_sums(n))
-    if state.ndim == 1:
-        return state * phase
-    return state * np.outer(phase, phase.conj())
 
 
 def kraus_operators(kind: ChannelKind, kappa) -> list[np.ndarray]:
@@ -280,45 +271,25 @@ def collective_moments(state: np.ndarray, n: int | None = None) -> CollectiveMom
     return moments_from_reduced(*reduced_sums(state, n), n)
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> np.ndarray:
-    """Assert hermiticity, unit trace, and positivity up to tolerance."""
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > herm_tol:
-        raise ValidationError(f"not Hermitian: max |rho - rho^dag| = {herm}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValidationError(f"trace {tr} differs from 1")
-    lam = float(np.linalg.eigvalsh(rho)[0])
-    if lam < eig_floor:
-        raise ValidationError(f"minimum eigenvalue {lam} below {eig_floor}")
-    return rho
-
-
-def _generator_matrices(plist: Sequence[LindbladParams], delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """L_delta (4, 4) and the dissipators L_bc (P, 4, 4) of P generators."""
+def _generator_matrices(plist: Sequence[LindbladParams]) -> np.ndarray:
+    """The superoperators L (P, 4, 4) of P generators."""
     s, b, c = np.array([(p.s, p.b, p.c) for p in plist]).T
     pump, decay = b * (1.0 - s), b * s
     l_bc = np.zeros((len(plist), 4, 4), dtype=complex)
     l_bc[:, 0, 0], l_bc[:, 0, 3] = -pump, pump
     l_bc[:, 3, 0], l_bc[:, 3, 3] = decay, -decay
     l_bc[:, 1, 1] = l_bc[:, 2, 2] = -c
-    return np.diag([0.0, 1j * delta, -1j * delta, 0.0]), l_bc
+    return l_bc
 
 
 def integrate_single_qubit_generator(
     params: LindbladParams | Sequence[LindbladParams],
     chi0: np.ndarray,
     t: float,
-    delta: float = 0.0,
-    rate_scale: Callable[[float], float] | None = None,
     step: float | None = None,
 ) -> np.ndarray:
-    """Integrate the single-qubit master equation to time t (RK4, fixed step).
+    """Integrate the constant-rate single-qubit master equation to time t
+    (RK4, fixed step).
 
     ``chi0`` is one 2x2 matrix or a (k, 2, 2) batch, integrated together
     and returned in the same shape. ``params`` may also be a sequence of
@@ -326,32 +297,25 @@ def integrate_single_qubit_generator(
     entry i is evolved under ``params[i]``, and all of them advance at one
     shared step.
 
-    The right-hand side -i[H, chi] + D(chi), H = (delta/2) sigma_z, acts on
-    row-major vec(chi) = (chi00, chi01, chi10, chi11) as vec(rhs) =
-    vec(chi) @ L, L = L_delta + L_bc, L_delta = diag(0, i delta, -i delta, 0).
-    L_bc has six nonzero entries: L[0, 0] = -L[0, 3] = -b(1 - s) pump the
-    ground population up, L[3, 3] = -L[3, 0] = -b s decay the excited one
-    (s = 1 is the damping channel's decay), L[1, 1] = L[2, 2] = -c damp coherence.
+    The dissipator acts on row-major vec(chi) = (chi00, chi01, chi10, chi11)
+    as vec(rhs) = vec(chi) @ L. L has six nonzero entries: L[0, 0] =
+    -L[0, 3] = -b(1 - s) pump the ground population up, L[3, 3] = -L[3, 0]
+    = -b s decay the excited one (s = 1 is the damping channel's decay),
+    L[1, 1] = L[2, 2] = -c damp coherence. L is constant, so one RK4 step
+    of x' = xL is exactly x -> x(I + D), D = A + A^2/2 + A^3/6 + A^4/24
+    with A = hL, and the n steps are x(I + D)^n, taken by binary squaring.
+    The power is kept as its increment over I, (I + D)^2 = I + (2D + D^2)
+    and (I + D_j)(I + D_k) = I + (D_j + D_k + D_j D_k), since forming
+    I + D would round away the low bits of the small D.
 
-    ``rate_scale`` makes the generator time-local: both b and c are
-    multiplied by rate_scale(t), which may go negative over intervals
-    (information backflow); its steps are taken one by one. Without it, L
-    is constant and one RK4 step of x' = xL is exactly x -> x(I + D),
-    D = A + A^2/2 + A^3/6 + A^4/24 with A = hL, so the n steps are
-    x(I + D)^n, taken by binary squaring. The power is kept as its
-    increment over I, (I + D)^2 = I + (2D + D^2) and
-    (I + D_j)(I + D_k) = I + (D_j + D_k + D_j D_k), since forming I + D
-    would round away the low bits of the small D.
-
-    The default step is 1e-3 / max(b, c, |delta|), with the largest b
-    and c of the sequence. A ``chi0`` whose last two axes are not (2, 2),
-    a t that is not finite and nonnegative, a delta that is not finite, a
-    step that is not finite and positive, more than ``MAX_GRID_NODES``
-    steps, or a sequence whose length is not that of ``chi0``'s leading
-    axis raises ``ValidationError`` before any step; a rate_scale(tau)
-    that is not finite raises it at that tau. L keeps each matrix's trace
-    (a zero chi0 stays zero): StepInstability is raised if a trace is not
-    finite or drifts from its value at t = 0 by over 1e-8 max(1, |chi00| + |chi11|).
+    The default step is 1e-3 / max(b, c), with the largest b and c of the
+    sequence. A ``chi0`` whose last two axes are not (2, 2), a t that is
+    not finite and nonnegative, a step that is not finite and positive,
+    more than ``MAX_GRID_NODES`` steps, or a sequence whose length is not
+    that of ``chi0``'s leading axis raises ``ValidationError``. L keeps
+    each matrix's trace (a zero chi0 stays zero): StepInstability is
+    raised if a trace is not finite or drifts from its value at t = 0 by
+    over 1e-8 max(1, |chi00| + |chi11|).
     """
     if chi0.shape[-2:] != (2, 2):
         raise ValidationError(f"chi0 must end in two axes of length 2, got shape {chi0.shape}")
@@ -364,14 +328,12 @@ def integrate_single_qubit_generator(
         )
     if not (math.isfinite(t) and t >= 0):
         raise ValidationError(f"t must be finite and nonnegative, got {t!r}")
-    if not math.isfinite(delta):
-        raise ValidationError(f"delta must be finite, got {delta!r}")
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValidationError(f"step must be finite and positive, got {step!r}")
     chi = chi0.astype(complex, copy=True)
     if t == 0.0:
         return chi
-    scale_max = max(max(p.b, p.c, abs(delta), 1e-12) for p in plist)
+    scale_max = max(max(p.b, p.c, 1e-12) for p in plist)
     h = step if step is not None else 1e-3 / scale_max
     # the ratio test also catches a step so small that t / h overflows
     if not t / h <= MAX_GRID_NODES:
@@ -379,44 +341,22 @@ def integrate_single_qubit_generator(
     n_steps = max(1, int(math.ceil(t / h)))
     h = t / n_steps
 
-    # the right-hand side is L_delta + r(tau) * L_bc, linear in (b, c)
-    l_delta, l_bc = _generator_matrices(plist, delta)
-    x0 = x = chi.reshape(len(plist), -1, 4)
-    if not batch:
-        l_bc, x0, x = l_bc[0], x0[0], x[0]
-
+    x0 = chi.reshape(len(plist), -1, 4)
     # an unstable step overflows to inf or nan, which the drift test reports
     with np.errstate(over="ignore", invalid="ignore"):
-        if rate_scale is None:
-            a = h * (l_delta + l_bc)
-            a2 = a @ a
-            power = a + (a2 / 2.0 + (a2 @ a / 6.0 + a2 @ a2 / 24.0))  # D of one step
-            total = None  # D of the steps taken so far, by the bits of n_steps
-            n = n_steps
-            while True:
-                if n & 1:
-                    total = power if total is None else total + power + total @ power
-                n >>= 1
-                if not n:
-                    break
-                power = 2.0 * power + power @ power
-            x = x + x @ total
-        else:
-
-            def rhs(tau: float, x: np.ndarray) -> np.ndarray:
-                r = rate_scale(tau)
-                if not math.isfinite(r):
-                    raise ValidationError(f"rate_scale({tau!r}) = {r!r} is not finite")
-                return x @ (l_delta + r * l_bc)
-
-            tau = 0.0
-            for _ in range(n_steps):
-                k1 = rhs(tau, x)
-                k2 = rhs(tau + 0.5 * h, x + 0.5 * h * k1)
-                k3 = rhs(tau + 0.5 * h, x + 0.5 * h * k2)
-                k4 = rhs(tau + h, x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                tau += h
+        a = h * _generator_matrices(plist)
+        a2 = a @ a
+        power = a + (a2 / 2.0 + (a2 @ a / 6.0 + a2 @ a2 / 24.0))  # D of one step
+        total = None  # D of the steps taken so far, by the bits of n_steps
+        n = n_steps
+        while True:
+            if n & 1:
+                total = power if total is None else total + power + total @ power
+            n >>= 1
+            if not n:
+                break
+            power = 2.0 * power + power @ power
+        x = x0 + x0 @ total
         # rounding moves a trace by a few ulps of the populations
         drift = np.abs(x[..., 0] + x[..., 3] - (x0[..., 0] + x0[..., 3]))
         drift = float(np.max(drift / np.maximum(1.0, np.abs(x0[..., 0]) + np.abs(x0[..., 3]))))

@@ -38,11 +38,17 @@ from squeeze_dyn import (
     xi2_prime_oat,
 )
 from squeeze_dyn.analytic import _golden_min
-from squeeze_dyn.oracle import apply_field_rotation
 from squeeze_dyn.verify import run_verification
 
 STRONG = ReservoirConfig(gamma=0.01, eta0=10.0)
 RATE = 0.005  # Markovian reference decay, exp(-0.005 t)
+
+
+def field_rotation(psi, angle):
+    """exp(-i (angle/2) sigma_z) on every qubit of a state vector."""
+    n = int(psi.size).bit_length() - 1
+    ups = np.array([bin(i).count("1") for i in range(psi.size)])
+    return psi * np.exp(-0.5j * angle * (2 * ups - n))
 
 
 def report(criterion, ok, detail):
@@ -262,9 +268,12 @@ def test_criterion_8_invariance_suite():
     psi = build_oat_state(4, 0.3)
     base_xi = xi2_from_moments(collective_moments(psi))
     base_xip = xi2_prime_from_moments(collective_moments(psi))
+    # a quarter turn carries the coherent state along +x to +y
+    css = collective_moments(field_rotation(build_oat_state(4, 0.0), math.pi / 2))
+    assert np.max(np.abs(css.mean_spin - [0.0, 2.0, 0.0])) <= 1e-12
     rot_dev = 0.0
     for delta_t in (0.9, 2.7):
-        rotated = apply_field_rotation(psi, 1.0, delta_t)
+        rotated = field_rotation(psi, delta_t)
         rot_dev = max(rot_dev, abs(xi2_from_moments(collective_moments(rotated)) - base_xi))
         rot_dev = max(rot_dev, abs(xi2_prime_from_moments(collective_moments(rotated)) - base_xip))
     assert rot_dev <= 1e-12

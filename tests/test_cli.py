@@ -1020,3 +1020,75 @@ def test_a_bad_comparison_rate_is_rejected_before_the_main_curve(
     ]
     assert run(args) == 2
     assert "rate must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, err",
+    [
+        (["--delta=nan"], "error: delta must be finite, got nan\n"),
+        (["--delta=inf"], "error: delta must be finite, got inf\n"),
+        (["--delta=-inf"], "error: delta must be finite, got -inf\n"),
+        # alpha is checked first, and a bad delta prints no angle warning
+        (["--alpha", "nan", "--delta=nan"], "error: alpha must be finite, got nan\n"),
+        (["--alpha", "3", "--delta=nan"], "error: delta must be finite, got nan\n"),
+    ],
+)
+def test_evolve_rejects_a_non_finite_delta(extra, err, tmp_path, capsys):
+    out = tmp_path / "curve.csv"
+    args = [
+        "evolve", "--n", "6", "--channel", "damping", "--t-max", "2", "--dt", "1",
+        "--output", str(out), *extra,
+    ]
+    if "--alpha" not in extra:
+        args += ["--alpha", "0.25"]
+    assert run(args) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_evolve_delta_reaches_only_the_header(fmt, tmp_path):
+    # the field rotates the state about z, which moves no squeezing value
+    args = [
+        "evolve", "--n", "6", "--alpha", "0.25", "--channel", "damping", "--kappa", "markovian",
+        "--rate", "0.004", "--t-max", "20", "--dt", "1", "--format", fmt, "--reproducible",
+    ]
+    with_field, without = tmp_path / "field", tmp_path / "none"
+    assert run(args + ["--delta", "0.7", "--output", str(with_field)]) == 0
+    assert run(args + ["--output", str(without)]) == 0
+    if fmt == "csv":
+        old, new = "# delta = 0\n", "# delta = 0.69999999999999996\n"
+    else:
+        old, new = '"delta": 0.0,', '"delta": 0.7,'
+    assert without.read_text().count(old) == 1
+    assert with_field.read_text() == without.read_text().replace(old, new)
+
+
+def test_a_huge_alpha_is_outside_the_regime_not_a_product_state(tmp_path, capsys):
+    # cos(2e17) = 0.568, so xi2 = 4.417 at t = 0 is not a product state's 1
+    out = tmp_path / "curve.csv"
+    args = [
+        "evolve", "--n", "10", "--alpha", "1e17", "--channel", "dephasing",
+        "--kappa", "markovian", "--t-max", "1", "--dt", "0.5", "--output", str(out),
+    ]
+    assert run(args) == 0
+    assert capsys.readouterr().err == "warning: outside-squeezed-regime (alpha = 1e+17)\n"
+    assert _csv_rows(out)[0, 2] == pytest.approx(4.4168347832284027, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "gamma, eta0", [("10", "10"), ("10", "5"), ("1", "0.005")], ids=["strong", "critical", "weak"]
+)
+def test_evolve_at_the_largest_times_writes_no_nan(gamma, eta0, tmp_path):
+    # gamma*t and d*t overflow at t = 1e308; kappa's envelope is 0 there,
+    # and 0 * inf or cos(inf) used to write nan
+    out = tmp_path / "curve.csv"
+    args = [
+        "evolve", "--n", "10", "--channel", "damping", "--kappa", "lorentzian",
+        "--gamma", gamma, "--eta0", eta0, "--t-max", "1e308", "--dt", "1e308",
+        "--output", str(out),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(args) == 0
+    assert _csv_rows(out)[1].tolist() == [1e308, 0.0, 1.0]

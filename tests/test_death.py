@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -294,3 +295,22 @@ def test_scan_rejects_too_many_nodes_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "boundary, horizon",
+    [(1e300, 1e308), (1.7e308, 1.79e308), (1e10, 2e10)],
+    ids=["spacing-above-tol", "sum-overflows", "just-above-2^33"],
+)
+def test_bisection_ends_at_adjacent_doubles_near_the_largest_times(boundary, horizon):
+    # above t = 2^33 adjacent doubles lie more than REFINE_TOL apart, so
+    # the width test alone never ended the loop; near the largest doubles
+    # 0.5 * (lo + hi) overflowed to inf
+    def step(ts):
+        return np.where(ts < boundary, 0.5, 2.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (start, end), = squeezed_intervals(step, horizon, horizon)
+    assert start == 0.0
+    assert abs(end - boundary) <= 2.0 * math.ulp(boundary)

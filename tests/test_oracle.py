@@ -8,12 +8,10 @@ from squeeze_dyn import (
     Definition,
     LindbladParams,
     apply_channel,
-    apply_field_rotation,
     build_oat_state,
     collective_moments,
     integrate_single_qubit_generator,
     kraus_operators,
-    validate_density_matrix,
     xi2_from_moments,
     xi2_oat,
     xi2_prime_from_moments,
@@ -26,7 +24,6 @@ from squeeze_dyn.errors import (
     ValidationError,
 )
 from squeeze_dyn.analytic import Form, channel_xi2
-from squeeze_dyn.kappa import ReservoirConfig, kappa_lorentzian
 from squeeze_dyn._smalleig import min_eig_sym2, min_eig_sym3
 from squeeze_dyn.moments import _xi2_prime_rows, _xi2_rows
 from squeeze_dyn.oracle import (
@@ -78,35 +75,6 @@ def test_mean_spin_magnitude(n, alpha):
     assert np.linalg.norm(m.mean_spin) == pytest.approx(abs(expected), abs=1e-12)
 
 
-def test_field_rotation_identity_and_period():
-    psi = build_oat_state(3, 0.4)
-    np.testing.assert_allclose(apply_field_rotation(psi, 0.7, 0.0), psi)
-    rotated = apply_field_rotation(psi, 1.0, 2 * math.pi)
-    m0 = collective_moments(psi)
-    m1 = collective_moments(rotated)
-    np.testing.assert_allclose(m0.mean_spin, m1.mean_spin, atol=1e-12)
-    np.testing.assert_allclose(m0.corr, m1.corr, atol=1e-12)
-
-
-def test_field_rotation_moves_css_to_y():
-    psi = build_oat_state(4, 0.0)  # coherent state along +x
-    rotated = apply_field_rotation(psi, 1.0, math.pi / 2)
-    m = collective_moments(rotated)
-    np.testing.assert_allclose(m.mean_spin, [0.0, 2.0, 0.0], atol=1e-12)
-
-
-@pytest.mark.parametrize("delta_t", [0.7, 2.1])
-def test_field_rotation_leaves_squeezing_invariant(delta_t):
-    psi = build_oat_state(4, 0.3)
-    rotated = apply_field_rotation(psi, 1.0, delta_t)
-    assert xi2_from_moments(collective_moments(rotated)) == pytest.approx(
-        xi2_from_moments(collective_moments(psi)), abs=1e-12
-    )
-    assert xi2_prime_from_moments(collective_moments(rotated)) == pytest.approx(
-        xi2_prime_from_moments(collective_moments(psi)), abs=1e-12
-    )
-
-
 @pytest.mark.parametrize("kind", list(ChannelKind))
 def test_kraus_completeness(kind):
     for kappa in (1.0, 0.6, 0.0, -0.8):
@@ -150,7 +118,8 @@ def test_channel_outputs_completely_positive(kind):
         kappa = float(rng.uniform(-1.0, 1.0))
         out = apply_channel(rho, kind, kappa)
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
-        validate_density_matrix(out, herm_tol=1e-12, trace_tol=1e-12)
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
+        assert abs(np.trace(out) - 1.0) <= 1e-12
 
 
 def test_css_moments():
@@ -385,13 +354,6 @@ def test_permutation_symmetry_of_decohered_state(n):
             assert np.max(np.abs(rho[np.ix_(swapped, swapped)] - rho)) <= 1e-12
 
 
-def test_density_matrix_validation_raises():
-    with pytest.raises(ValidationError):
-        validate_density_matrix(np.array([[1.0, 0.5], [0.0, 0.0]]))
-    with pytest.raises(ValidationError):
-        validate_density_matrix(np.array([[2.0, 0.0], [0.0, -1.0]]))
-
-
 # --- single-qubit generator ---
 
 PLUS = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
@@ -424,42 +386,6 @@ def test_generator_depolarizing_bloch_decay():
     assert np.linalg.norm(bloch) == pytest.approx(math.exp(-gamma * t), abs=1e-9)
 
 
-def test_generator_field_rotation_direction():
-    # coherent part alone rotates +x toward +y, matching the mean-spin
-    # direction convention
-    chi = integrate_single_qubit_generator(
-        LindbladParams.dephasing(0.0), PLUS, math.pi / 2, delta=1.0
-    )
-    assert float(np.trace(chi @ SIGMA_Y).real) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_generator_negative_rate_interval_regrows_coherence():
-    # time-local dephasing driven by the strong-coupling decoherence
-    # function on a window where |kappa| grows: the rate is negative and
-    # the physically evolved coherence tracks kappa(t)^2
-    res = ReservoirConfig(gamma=0.01, eta0=10.0)
-    d = math.sqrt(res.discriminant)
-    t0, t1 = 8.0, 14.0
-
-    def kdot(t):
-        return -math.exp(-res.gamma * t / 2) * math.sin(d * t / 2) * (
-            res.eta0 * res.gamma / d
-        )
-
-    def rate(tau):
-        t = t0 + tau
-        return -2.0 * kdot(t) / kappa_lorentzian(res, t)
-
-    assert rate(1.0) < 0  # backflow window
-    k0 = kappa_lorentzian(res, t0)
-    chi0 = np.array([[0.5, 0.5 * k0**2], [0.5 * k0**2, 0.5]], dtype=complex)
-    params = LindbladParams.dephasing(1.0)
-    chi = integrate_single_qubit_generator(params, chi0, t1 - t0, rate_scale=rate, step=1e-3)
-    expected = 0.5 * kappa_lorentzian(res, t1) ** 2
-    assert abs(chi[0, 1]) == pytest.approx(expected, abs=1e-8)
-    assert abs(chi[0, 1]) > abs(chi0[0, 1])  # coherence grew back
-
-
 def test_generator_instability_detected():
     # step far beyond the stability boundary: the populations blow up and
     # float cancellation drives the trace off 1
@@ -479,9 +405,6 @@ def test_generator_rejects_bad_time_and_step():
         {"t": 1.0, "step": math.inf},
         {"t": 1.0, "step": 1e-320},
         {"t": 1e12},
-        {"t": 1.0, "delta": math.nan},
-        {"t": 1.0, "delta": math.inf},
-        {"t": 1.0, "delta": -math.inf},
     ]
     for kwargs in bad:
         with pytest.raises(ValidationError):
@@ -489,20 +412,13 @@ def test_generator_rejects_bad_time_and_step():
 
 
 def test_generator_batch_matches_single_calls():
-    # coherent rotation plus a time-local depolarizing rate that goes negative
     rng = np.random.default_rng(5)
     batch = np.stack([PLUS, UP] + [random_density(rng) for _ in range(3)])
     params = LindbladParams.depolarizing(0.2)
-
-    def rate(tau):
-        return math.cos(0.8 * tau)
-
-    assert rate(3.0) < 0
-    kwargs = dict(delta=0.7, rate_scale=rate, step=1e-2)
-    out = integrate_single_qubit_generator(params, batch, 5.0, **kwargs)
+    out = integrate_single_qubit_generator(params, batch, 5.0, step=1e-2)
     assert out.shape == batch.shape
     for chi0, chi in zip(batch, out):
-        single = integrate_single_qubit_generator(params, chi0, 5.0, **kwargs)
+        single = integrate_single_qubit_generator(params, chi0, 5.0, step=1e-2)
         assert single.shape == (2, 2)
         np.testing.assert_allclose(chi, single, rtol=0, atol=1e-15)
 
@@ -527,22 +443,20 @@ def _three_channels(rate):
     ]
 
 
-@pytest.mark.parametrize("rate_scale", [None, lambda tau: math.cos(0.8 * tau)])
-def test_generator_params_batch_equals_per_params_calls(rate_scale):
+def test_generator_params_batch_equals_per_params_calls():
     # the three channels at one shared step, each on its own set of states
     rng = np.random.default_rng(11)
     params = _three_channels(0.2)
     chi0 = np.stack(
         [np.stack([PLUS, UP] + [random_density(rng) for _ in range(3)]) for _ in params]
     )
-    kwargs = dict(delta=0.3, rate_scale=rate_scale)
-    out = integrate_single_qubit_generator(params, chi0, 5.0, **kwargs)
+    out = integrate_single_qubit_generator(params, chi0, 5.0)
     assert out.shape == chi0.shape
     for p, states, chi in zip(params, chi0, out):
-        single = integrate_single_qubit_generator(p, states, 5.0, **kwargs)
+        single = integrate_single_qubit_generator(p, states, 5.0)
         assert np.array_equal(chi, single)
     # one 2x2 state per generator keeps that shape
-    one_each = integrate_single_qubit_generator(params, chi0[:, 0], 5.0, **kwargs)
+    one_each = integrate_single_qubit_generator(params, chi0[:, 0], 5.0)
     assert one_each.shape == (3, 2, 2)
     assert np.array_equal(one_each, out[:, 0])
 
@@ -578,28 +492,22 @@ def test_generator_params_batch_length_mismatch_is_rejected():
     ],
 )
 def test_generator_rejects_chi0_not_ending_in_2x2(params, chi0):
-    def rate(tau):
-        raise AssertionError("a rejected chi0 reached a step")
-
-    for rate_scale in (None, rate):
-        with pytest.raises(ValidationError, match="chi0 must end in two axes of length 2"):
-            integrate_single_qubit_generator(params, chi0, 1.0, rate_scale=rate_scale)
+    with pytest.raises(ValidationError, match="chi0 must end in two axes of length 2"):
+        integrate_single_qubit_generator(params, chi0, 1.0)
 
 
-@pytest.mark.parametrize("rate_scale", [None, lambda tau: math.cos(0.8 * tau)])
-def test_generator_keeps_each_matrix_own_trace(rate_scale):
+def test_generator_keeps_each_matrix_own_trace():
     # the generator is linear and keeps every trace, not only a unit one:
     # a zero matrix comes back zero and a scaled state comes back scaled,
     # bit for bit, since the scales are powers of two
     rng = np.random.default_rng(23)
     rho = np.stack([UP, PLUS, random_density(rng)])
-    kwargs = dict(delta=0.7, rate_scale=rate_scale, step=1e-2)
     for params in _three_channels(0.2):
-        evolved = integrate_single_qubit_generator(params, rho, 5.0, **kwargs)
-        zero = integrate_single_qubit_generator(params, np.zeros((2, 2)), 5.0, **kwargs)
+        evolved = integrate_single_qubit_generator(params, rho, 5.0, step=1e-2)
+        zero = integrate_single_qubit_generator(params, np.zeros((2, 2)), 5.0, step=1e-2)
         assert np.array_equal(zero, np.zeros((2, 2)))
         for scale in (2.0, 2.0**30):
-            scaled = integrate_single_qubit_generator(params, scale * rho, 5.0, **kwargs)
+            scaled = integrate_single_qubit_generator(params, scale * rho, 5.0, step=1e-2)
             assert np.array_equal(scaled, scale * evolved)
 
 
@@ -614,35 +522,18 @@ def test_generator_params_batch_instability_in_any_member(unstable):
     integrate_single_qubit_generator(params, np.stack([down] * 3), 240.0, step=6.0)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_generator_rejects_non_finite_rate_scale(bad):
-    def rate(tau):
-        return 1.0 if tau < 0.5 else bad
-
-    with pytest.raises(ValidationError, match=r"rate_scale\(0\.5"):
-        integrate_single_qubit_generator(
-            LindbladParams.depolarizing(0.1), PLUS, 1.0, rate_scale=rate, step=0.25
-        )
-
-
-@pytest.mark.parametrize("rate_scale", [None, lambda tau: 1.0])
-def test_generator_non_finite_state_is_instability(rate_scale):
+def test_generator_non_finite_state_is_instability():
     # a nan trace is not within the drift bound, so it is not returned
     chi0 = np.stack([PLUS, np.full((2, 2), math.nan, dtype=complex)])
     with pytest.raises(StepInstability):
-        integrate_single_qubit_generator(
-            LindbladParams.damping(0.1), chi0, 1.0, rate_scale=rate_scale
-        )
+        integrate_single_qubit_generator(LindbladParams.damping(0.1), chi0, 1.0)
 
 
-@pytest.mark.parametrize("rate_scale", [None, lambda tau: 1.0])
-def test_generator_overflowing_step_is_instability(rate_scale):
+def test_generator_overflowing_step_is_instability():
     # 1,000 steps that each grow the state 31-fold overflow to inf and nan;
     # that is reported as StepInstability, with no RuntimeWarning first
     with pytest.raises(StepInstability):
-        integrate_single_qubit_generator(
-            LindbladParams.damping(1.0), UP, 6000.0, step=6.0, rate_scale=rate_scale
-        )
+        integrate_single_qubit_generator(LindbladParams.damping(1.0), UP, 6000.0, step=6.0)
 
 
 def _rk4_propagator_50_digits(mp, l_const, h, n_steps):
@@ -663,17 +554,9 @@ def _rk4_propagator_50_digits(mp, l_const, h, n_steps):
     return out
 
 
-@pytest.mark.parametrize(
-    "params, delta",
-    [
-        (LindbladParams.dephasing(0.01), 0.0),
-        (LindbladParams.depolarizing(0.01), 0.0),
-        (LindbladParams.damping(0.01), 0.0),
-        (LindbladParams.depolarizing(0.01), 0.01),
-    ],
-)
-def test_generator_constant_rate_matches_50_digit_rk4(params, delta):
-    # verify's fit (rate 0.01, t 35, default step): the constant-rate route
+@pytest.mark.parametrize("params", _three_channels(0.01))
+def test_generator_constant_rate_matches_50_digit_rk4(params):
+    # verify's fit (rate 0.01, t 35, default step): the powered step matrix
     # against the same 350 RK4 steps taken in 50 digits, on verify's states
     mpmath = pytest.importorskip("mpmath")
     mp = mpmath.mp.clone()
@@ -682,38 +565,29 @@ def test_generator_constant_rate_matches_50_digit_rk4(params, delta):
     n_steps = math.ceil(t / (1e-3 / 0.01))
     rng = np.random.default_rng(20240917)
     chi0 = np.stack([UP if params.s == 1.0 else PLUS] + [random_density(rng) for _ in range(8)])
-    l_delta, l_bc = _generator_matrices([params], delta)
-    l_const = l_delta + l_bc[0]
+    l_const = _generator_matrices([params])[0]
     propagator = _rk4_propagator_50_digits(mp, l_const, t / n_steps, n_steps)
     x0 = np.array([[mp.mpc(v) for v in row] for row in chi0.reshape(-1, 4)], dtype=object)
     want = x0 @ propagator
 
-    got = integrate_single_qubit_generator(params, chi0, t, delta=delta)
+    got = integrate_single_qubit_generator(params, chi0, t)
     err = max(float(abs(g - w)) for g, w in zip(got.reshape(-1), want.reshape(-1)))
     assert err <= 2e-16
-    # the time-local route steps one by one and rounds at every step
-    stepped = integrate_single_qubit_generator(
-        params, chi0, t, delta=delta, rate_scale=lambda tau: 1.0
-    )
-    np.testing.assert_allclose(got, stepped, rtol=0, atol=1e-14)
 
 
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)  # |up><down|
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |down><up|
 
 
-def _generator_rhs(chi, s, b, c, delta):
-    """-i[H, chi] + L(chi) with H = (delta/2) sigma_z, in Lindblad form:
-    the reference that the closed-form superoperator is checked against.
+def _generator_rhs(chi, s, b, c):
+    """L(chi) in Lindblad form: the reference that the closed-form
+    superoperator is checked against.
 
     The b-weighted flip terms are split so that s = 1 is pure decay
     toward the ground state (matching the damping channel's direction)
     and s = 0 pure pumping; the (2c - b)/8 term is pure dephasing.
     """
     out = np.zeros_like(chi)
-    if delta != 0.0:
-        h = 0.5 * delta * SIGMA_Z
-        out += -1.0j * (h @ chi - chi @ h)
     if b != 0.0:
         p_up = SIGMA_PLUS @ SIGMA_MINUS  # |up><up|
         p_dn = SIGMA_MINUS @ SIGMA_PLUS  # |down><down|
@@ -727,44 +601,34 @@ def _generator_rhs(chi, s, b, c, delta):
     return out
 
 
-def _probed_superoperator(s, b, c, delta):
+def _probed_superoperator(s, b, c):
     """The 4x4 L of ``_generator_rhs`` on row-major vec(chi), one basis
     matrix per row: vec(rhs(chi)) = vec(chi) @ L."""
     basis = np.eye(4, dtype=complex).reshape(4, 2, 2)
-    return np.stack([_generator_rhs(e, s, b, c, delta).reshape(4) for e in basis])
+    return np.stack([_generator_rhs(e, s, b, c).reshape(4) for e in basis])
 
 
-@pytest.mark.parametrize("delta", [0.0, 0.7])
-def test_generator_matrices_equal_lindblad_form_for_named_generators(delta):
+def test_generator_matrices_equal_lindblad_form_for_named_generators():
     # the three channels' generators at rates verify and the tests use:
     # the closed form equals the Lindblad form entry for entry
     params = [p for rate in (0.01, 0.06, 0.2, 1.0) for p in _three_channels(rate)]
-    l_delta, l_bc = _generator_matrices(params, delta)
+    l_bc = _generator_matrices(params)
     assert l_bc.shape == (len(params), 4, 4)
-    assert np.array_equal(l_delta, _probed_superoperator(0.0, 0.0, 0.0, delta))
     for p, got in zip(params, l_bc):
-        assert np.array_equal(got, _probed_superoperator(p.s, p.b, p.c, 0.0))
+        assert np.array_equal(got, _probed_superoperator(p.s, p.b, p.c))
 
 
 def test_generator_superoperators_reproduce_rhs():
     # for any (s, b, c) only the coherence entries -c may differ, by the
     # rounding of the Lindblad form's three-term sum
     rng = np.random.default_rng(8)
-    params, deltas = [], []
-    for _ in range(200):
-        s, b, c = rng.uniform(0.0, 1.0, size=3)
-        params.append(LindbladParams(s, b, c))
-        deltas.append(rng.uniform(-2.0, 2.0))
-    _, l_bc = _generator_matrices(params, 0.0)
-    for p, delta, got in zip(params, deltas, l_bc):
-        l_delta, _ = _generator_matrices([p], delta)
-        want = _probed_superoperator(p.s, p.b, p.c, delta)
-        assert np.max(np.abs(l_delta + got - want)) <= 2.3e-16
-        # a rate r(tau) scales the dissipator alone, whatever its sign
-        chi, r = random_density(rng), rng.uniform(-2.0, 2.0)
+    params = [LindbladParams(*rng.uniform(0.0, 1.0, size=3)) for _ in range(200)]
+    for p, got in zip(params, _generator_matrices(params)):
+        assert np.max(np.abs(got - _probed_superoperator(p.s, p.b, p.c))) <= 2.3e-16
+        chi = random_density(rng)
         np.testing.assert_allclose(
-            chi.reshape(4) @ (l_delta + r * got),
-            _generator_rhs(chi, p.s, p.b * r, p.c * r, delta).reshape(4),
+            chi.reshape(4) @ got,
+            _generator_rhs(chi, p.s, p.b, p.c).reshape(4),
             rtol=0,
             atol=1e-14,
         )
