@@ -37,7 +37,6 @@ from .kappa import (
 from .model import (
     ChannelKind,
     Definition,
-    EnsembleConfig,
     EnsembleWarning,
     LindbladParams,
     Regime,
@@ -65,7 +64,6 @@ __all__ = [
     # model
     "ChannelKind",
     "Definition",
-    "EnsembleConfig",
     "EnsembleWarning",
     "LindbladParams",
     "Regime",

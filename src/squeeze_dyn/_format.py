@@ -5,18 +5,17 @@ round-trip IEEE doubles; CSV headers are '#'-prefixed ``key = value``
 lines and machine parseable. JSON tables and reports carry the bytes
 ``json.dump(obj, fp, indent=1)`` would write: each float is its shortest
 round-trip ``repr``, and inf and nan are written ``Infinity``,
-``-Infinity`` and ``NaN``. Neither goes through json's pure-Python
-encoder: table rows, and the rows of a report's lists of flat dicts, are
-formatted from one '%' template ``CHUNK_ROWS`` rows at a time. A table
-given as a 2-D float array is read a block of rows at a time, so no
-Python object is made per row. Identical inputs produce byte-identical
-files in either format.
+``-Infinity`` and ``NaN``. Both go through one encoder, not json's
+pure-Python one: the rows of a table given as a 2-D float array, and
+the rows of a report's lists of flat dicts, are formatted from one '%'
+template ``CHUNK_ROWS`` rows at a time, and an array is read a block of
+rows at a time, so no Python object is made per row. Identical inputs
+produce byte-identical files in either format.
 """
 
 from __future__ import annotations
 
 import io
-import json
 from itertools import chain, islice
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -90,29 +89,16 @@ def write_json(
     kind: str,
     params: Mapping[str, object],
     columns: Sequence[str],
-    rows: Iterable[Sequence[float]],
+    rows: np.ndarray | Sequence[Sequence[float]],
 ) -> None:
     """Write a table as one JSON document, byte for byte what
     ``json.dump(payload, fp, indent=1)`` writes for the same payload.
 
-    Every cell must be a float (numpy float64 included) and every row hold
-    ``len(columns)`` of them; ``rows`` is a 2-D float array or any
-    iterable of rows. The head comes from ``json.dumps``; the rows
-    are formatted a chunk at a time with ``float.__repr__``, which is what
-    json prints for a float, then inf and nan are renamed as json names them.
+    ``rows`` is a 2-D float array, or a list of rows of floats; every row
+    holds ``len(columns)`` cells.
     """
-    payload = {"schema": SCHEMA, "kind": kind, "params": params, "columns": columns, "rows": []}
-    # the head ends '"rows": []\n}'; the row block replaces the '[]'
-    fp.write(json.dumps(payload, indent=1)[: -len("[]\n}")])
-    row = "  [\n   " + ",\n   ".join(["%s"] * len(columns)) + "\n  ]"
-    sep = "[\n"
-    for k, cells in _chunks(rows):
-        text = ",\n".join([row] * k) % tuple(map(float.__repr__, cells))
-        fp.write(sep)
-        # float repr spells only inf, -inf and nan with letters
-        fp.write(text.replace("inf", "Infinity").replace("nan", "NaN"))
-        sep = ",\n"
-    fp.write("[]\n}" if sep == "[\n" else "\n ]\n}")
+    payload = {"schema": SCHEMA, "kind": kind, "params": params, "columns": columns, "rows": rows}
+    write_report(fp, payload)
 
 
 #: json's names for the float reprs that are not numbers
@@ -173,27 +159,35 @@ def _encode(obj, level: int) -> Iterator[str]:
     """The text of ``json.dump(obj, fp, indent=1)`` for ``obj`` nested
     ``level`` deep, in pieces.
 
-    A list of flat dicts with the same keys in the same order is one '%'
-    template per row, formatted ``CHUNK_ROWS`` rows at a time.
+    A 2-D float array, and a list of flat dicts with the same keys in the
+    same order, are one '%' template per row, formatted ``CHUNK_ROWS`` rows
+    at a time.
     """
-    if isinstance(obj, (list, tuple)):
-        if not obj:
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        if not len(obj):
             yield "[]"
             return
         inner = "\n" + " " * (level + 1)
-        keys = _flat_keys(obj)
-        if keys is None:
-            sep = "[" + inner
+        field = "\n" + " " * (level + 2)
+        sep = "[" + inner
+        if isinstance(obj, np.ndarray):
+            # a 2-D float table: each cell is its float repr, which is what
+            # json prints for a float
+            row = "[" + field + ("," + field).join(["%s"] * obj.shape[1]) + inner + "]"
+            for k, cells in _chunks(obj):
+                text = ("," + inner).join([row] * k) % tuple(map(float.__repr__, cells))
+                # float repr spells only inf, -inf and nan with letters
+                yield sep + text.replace("inf", "Infinity").replace("nan", "NaN")
+                sep = "," + inner
+        elif (keys := _flat_keys(obj)) is None:
             for item in obj:
                 yield sep
                 yield from _encode(item, level + 1)
                 sep = "," + inner
         else:
-            field = "\n" + " " * (level + 2)
             fields = (field + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
             row = "{" + ",".join(fields) + inner + "}"
             width = len(keys)
-            sep = "[" + inner
             for k, cells in _chunks(map(dict.values, obj)):
                 texts = list(cells)
                 for j in range(width):

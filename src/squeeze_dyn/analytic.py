@@ -416,12 +416,14 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, xatol: float)
 
 #: nodes in the coarse bracket scan preceding the golden-section refine
 _SCAN_POINTS = 2048
+#: width in alpha at which the golden-section refine stops
+_XATOL = 1e-10
 
 
-def optimal_alpha(n: int, xatol: float = 1e-10) -> tuple[float, float]:
+def optimal_alpha(n: int) -> tuple[float, float]:
     """Minimize the pure variance-form parameter over alpha in (0, pi/2).
 
-    Coarse 2048-point scan to bracket, golden-section to ``xatol`` in
+    Coarse 2048-point scan to bracket, golden-section to ``_XATOL`` in
     alpha. Returns (alpha_star, xi_min) with xi_min = sqrt(min xi^2).
     """
     if n < 3:
@@ -433,7 +435,7 @@ def optimal_alpha(n: int, xatol: float = 1e-10) -> tuple[float, float]:
     # the optimum falls below the first node), so bracket to the domain edge
     lo = grid[i - 1] if i > 0 else 0.0
     hi = grid[i + 1] if i + 1 < len(grid) else math.pi / 2.0
-    alpha_star, best = _golden_min(lambda a: xi2_oat(n, a), lo, hi, xatol)
+    alpha_star, best = _golden_min(lambda a: xi2_oat(n, a), lo, hi, _XATOL)
     return alpha_star, math.sqrt(best)
 
 

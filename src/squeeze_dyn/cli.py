@@ -40,7 +40,6 @@ from .model import (
     MAX_PARTICLES,
     ChannelKind,
     Definition,
-    EnsembleConfig,
     Regime,
     ReservoirConfig,
     TimeGrid,
@@ -238,7 +237,8 @@ def _check_n_cap(n: int, flag: str) -> None:
         )
 
 
-def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> EnsembleConfig:
+def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> float:
+    """The validated twisting angle: ``--alpha``, or the optimizer's for N."""
     if args.n < 2:
         raise ValidationError("squeezing is undefined for fewer than 2 particles")
     _check_n_cap(args.n, "--n")
@@ -247,29 +247,28 @@ def _resolve_config(args: argparse.Namespace, delta: float = 0.0) -> EnsembleCon
         if args.n < 3:
             raise ValidationError("--alpha is required for N = 2 (no optimizer bracket)")
         alpha, _ = optimal_alpha(args.n)
-    cfg = EnsembleConfig(n_particles=args.n, alpha=alpha)
-    warns = validate_ensemble(cfg)
+    warns = validate_ensemble(args.n, alpha)
     # evolve's recorded field strength, checked after alpha
     if not math.isfinite(delta):
         raise NonFiniteParameter(f"delta must be finite, got {delta!r}")
     for warning in warns:
         print(f"warning: {warning.value} (alpha = {alpha!r})", file=sys.stderr)
-    return cfg
+    return alpha
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args, args.delta)
+    alpha = _resolve_config(args, args.delta)
     model, model_keys = _build_model(args)
     grid = TimeGrid(t_start=args.t_start, t_end=args.t_max, step=args.dt)
     kind = ChannelKind(args.channel)
     definition = Definition(args.definition)
     form = Form(args.form)
     curve = squeezing_curve(
-        cfg.n_particles, cfg.alpha, kind, model, grid, definition, form, args.compare_markovian
+        args.n, alpha, kind, model, grid, definition, form, args.compare_markovian
     )
     params: dict[str, object] = {
-        "n": cfg.n_particles,
-        "alpha": cfg.alpha,
+        "n": args.n,
+        "alpha": alpha,
         "delta": args.delta,
         "channel": kind.value,
         "definition": definition.value,
@@ -295,7 +294,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_death_times(args: argparse.Namespace) -> int:
-    cfg = _resolve_config(args)
+    alpha = _resolve_config(args)
     model, model_keys = _build_model(args)
     definition = Definition(args.definition)
     kind = ChannelKind(args.channel)
@@ -311,10 +310,10 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
         None if args.compare_markovian is None else MarkovianExponential(args.compare_markovian)
     )
 
-    evaluator = curve_evaluator(cfg.n_particles, cfg.alpha, kind, model, definition, form)
+    evaluator = curve_evaluator(args.n, alpha, kind, model, definition, form)
     params: dict[str, object] = {
-        "n": cfg.n_particles,
-        "alpha": cfg.alpha,
+        "n": args.n,
+        "alpha": alpha,
         "channel": kind.value,
         "definition": definition.value,
         "form": form.value,
@@ -325,9 +324,7 @@ def _cmd_death_times(args: argparse.Namespace) -> int:
     report = death_report(evaluator, args.t_max, coarse, params=params)
 
     if comparison is not None:
-        comp_eval = curve_evaluator(
-            cfg.n_particles, cfg.alpha, kind, comparison, definition, form
-        )
+        comp_eval = curve_evaluator(args.n, alpha, kind, comparison, definition, form)
         report["markovian_comparison"] = death_report(
             comp_eval, args.t_max, coarse, params={"rate": args.compare_markovian}
         )

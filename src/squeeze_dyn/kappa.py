@@ -96,11 +96,12 @@ def _lorentzian_value(res: ReservoirConfig, arr: np.ndarray) -> np.ndarray:
             x = np.minimum(d * arr / 2.0, _FLOAT_MAX)
             return np.exp(-gam * arr / 2.0) * (np.cos(x) + (gam / d) * np.sin(x))
         # d -> i*dh: cosh/sinh recombined into plain exponentials so large t
-        # cannot overflow
+        # cannot overflow; the weights a and 1 - a sum to exactly 1, so
+        # kappa(0) = 1: a > 1, so 1 and a are multiples of ulp(a) and
+        # |1 - a| < a, which makes 1 - a exact
         dh = math.sqrt(-disc)
-        return 0.5 * (1.0 + gam / dh) * np.exp((dh - gam) * arr / 2.0) + 0.5 * (
-            1.0 - gam / dh
-        ) * np.exp(-(dh + gam) * arr / 2.0)
+        a = 0.5 * (1.0 + gam / dh)
+        return a * np.exp((dh - gam) * arr / 2.0) + (1.0 - a) * np.exp(-(dh + gam) * arr / 2.0)
 
 
 def kappa_lorentzian(res: ReservoirConfig, t: float | np.ndarray) -> float | np.ndarray:

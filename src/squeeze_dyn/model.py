@@ -1,5 +1,5 @@
-"""Core domain types: ensemble and reservoir configuration, channel and
-definition enumerations, time grids, and generator parameters.
+"""Core domain types: ensemble validation, reservoir configuration, channel
+and definition enumerations, time grids, and generator parameters.
 
 All types are immutable value objects and safe to share between threads.
 Units are dimensionless throughout; gamma and eta0 carry inverse-time
@@ -69,32 +69,22 @@ def _require_alpha(alpha: float) -> float:
     return float(alpha)
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
-    """N exchange-symmetric spin-1/2 particles, twisted by angle alpha.
-
-    ``alpha`` is the accumulated twisting angle (pair coupling times time,
-    uniform over pairs).
-    """
-
-    n_particles: int
-    alpha: float
-
-
-def validate_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleWarning, ...]:
-    """Check invariants and return the degenerate-angle warnings.
+def validate_ensemble(n: int, alpha: float) -> tuple[EnsembleWarning, ...]:
+    """Check N exchange-symmetric spin-1/2 particles twisted by the
+    accumulated angle ``alpha`` (pair coupling times time, uniform over
+    pairs), and return the degenerate-angle warnings.
 
     Angles outside (0, pi/2) are accepted: the closed forms stay
     evaluable and the endpoints (product state at m*pi, graph state at
     odd multiples of pi/2) are useful boundary cases. The endpoint test's
     tolerance 1e-12 |alpha/(pi/2)| is applied only while it is <= 1e-6.
     """
-    if int(cfg.n_particles) != cfg.n_particles or cfg.n_particles < 1:
-        raise NonPositiveN(f"n_particles must be a positive integer, got {cfg.n_particles}")
-    _require_alpha(cfg.alpha)
+    if int(n) != n or n < 1:
+        raise NonPositiveN(f"n must be a positive integer, got {n}")
+    _require_alpha(alpha)
 
     warns: list[EnsembleWarning] = []
-    half_pi_units = cfg.alpha / (math.pi / 2)
+    half_pi_units = alpha / (math.pi / 2)
     nearest = round(half_pi_units)
     tol = 1e-12 * max(1.0, abs(half_pi_units))
     if tol <= 1e-6 and abs(half_pi_units - nearest) <= tol:
@@ -102,7 +92,7 @@ def validate_ensemble(cfg: EnsembleConfig) -> tuple[EnsembleWarning, ...]:
             warns.append(EnsembleWarning.PRODUCT_STATE)
         else:
             warns.append(EnsembleWarning.GRAPH_STATE)
-    if not (0.0 < cfg.alpha < math.pi / 2) and not warns:
+    if not (0.0 < alpha < math.pi / 2) and not warns:
         warns.append(EnsembleWarning.OUTSIDE_SQUEEZED_REGIME)
     return tuple(warns)
 

@@ -1,9 +1,12 @@
 """Collective spin moments and the two squeezing definitions evaluated
 from them.
 
-Both the closed-form route (analytic module) and the explicit-state route
-(oracle module) reduce to a ``CollectiveMoments`` record; the definitions
-below are the shared final step. J = sum_j S_j with S = sigma/2.
+These serve the explicit-state route: the oracle scores its decohered
+states here, one record or (in ``verify``) every case's rows at once.
+The closed forms do not: ``_kappa_map`` in the analytic module solves
+its own 2x2 and 3x3 problems, and its ``decohered_moments`` record is
+scored here only by tests, as the reference the closed forms must
+match. J = sum_j S_j with S = sigma/2.
 """
 
 from __future__ import annotations

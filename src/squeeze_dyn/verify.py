@@ -28,7 +28,7 @@ import numpy as np
 from ._format import SCHEMA
 from .analytic import Form, OatCoefficients, _kappa_map, oat_coefficients, xi2_oat
 from .errors import ValidationError
-from .model import ChannelKind, Definition, LindbladParams, _require_alpha
+from .model import ChannelKind, Definition, LindbladParams
 from .moments import _xi2_prime_rows, _xi2_rows
 from .oracle import (
     N_CAP,
@@ -41,6 +41,8 @@ from .oracle import (
 
 __all__ = ["VerificationReport", "run_verification"]
 
+#: the particle numbers checked, those up to ``max_n``
+DEFAULT_NS = (2, 3, 4, 5, 6, 8, 10, 12, 14, 16)
 DEFAULT_ALPHAS = (0.05, 0.2, 0.5)
 DEFAULT_KAPPAS = (1.0, 0.7, 0.3, -0.4)
 
@@ -253,45 +255,27 @@ def _case_matrix(
     ]
 
 
-def run_verification(
-    max_n: int = 6,
-    tolerance: float = 1e-8,
-    alphas: tuple[float, ...] = DEFAULT_ALPHAS,
-    kappas: tuple[float, ...] = DEFAULT_KAPPAS,
-    ns: tuple[int, ...] | None = None,
-    include_generator: bool = True,
-) -> VerificationReport:
-    """Run the oracle-vs-closed-form matrix up to max_n particles.
+def run_verification(max_n: int = 6, tolerance: float = 1e-8) -> VerificationReport:
+    """Run the oracle-vs-closed-form matrix for every N of ``DEFAULT_NS``
+    up to ``max_n``, at ``DEFAULT_ALPHAS`` and ``DEFAULT_KAPPAS``, with the
+    two-particle reduction and the generator fits.
 
-    A ``max_n`` that is not an integer in [2, ``N_CAP``], an empty ``ns``,
-    ``alphas`` or ``kappas``, an ``ns`` entry that is not an integer in
-    [2, max_n], or an alpha whose double is not finite raises
-    ``ValidationError`` before any case is computed.
+    A ``max_n`` that is not an integer in [2, ``N_CAP``], or a tolerance
+    that is not finite and positive, raises ``ValidationError`` before any
+    case is computed.
     """
     if not (isinstance(max_n, (int, np.integer)) and 2 <= max_n <= N_CAP):
         raise ValidationError(f"max_n must be an integer in [2, {N_CAP}], got {max_n!r}")
     if not (math.isfinite(tolerance) and tolerance > 0.0):
         raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
-    if ns is None:
-        ns = tuple(n for n in (2, 3, 4, 5, 6, 8, 10, 12, 14, 16) if n <= max_n)
-    # an empty case matrix would pass without checking anything
-    for name, values in (("ns", ns), ("alphas", alphas), ("kappas", kappas)):
-        if len(values) == 0:
-            raise ValidationError(f"{name} must hold at least one value")
-    for n in ns:
-        if not isinstance(n, (int, np.integer)):
-            raise ValidationError(f"ns entries must be integers, got {n!r}")
-        if not 2 <= n <= max_n:
-            raise ValidationError(f"ns entries must lie in [2, max_n = {max_n}], got {n}")
-    for alpha in alphas:
-        _require_alpha(alpha)
-    cases = _case_matrix([(n, alpha) for n in ns for alpha in alphas], kappas, tolerance)
+    ensembles = [(n, alpha) for n in DEFAULT_NS if n <= max_n for alpha in DEFAULT_ALPHAS]
+    cases = _case_matrix(ensembles, DEFAULT_KAPPAS, tolerance)
     # two-particle reduction: the variance form collapses to 1/(1 + sin a)
     reductions = [
         {"alpha": alpha, "delta": abs(xi2_oat(2, alpha) - 1.0 / (1.0 + math.sin(alpha)))}
-        for alpha in (alphas if 2 in ns else ())
+        for alpha in DEFAULT_ALPHAS
     ]
-    fits = _fit_generators(rate=0.01, t=35.0, tolerance=tolerance) if include_generator else []
+    fits = _fit_generators(rate=0.01, t=35.0, tolerance=tolerance)
     all_passed = all(row["passed"] for row in cases + fits) and all(
         row["delta"] <= tolerance for row in reductions
     )

@@ -64,9 +64,7 @@ def test_criterion_1_oracle_equivalence():
     """Exact closed forms match the density-matrix computation to 1e-8
     over N x alpha x kappa x channel x definition."""
     t0 = time.perf_counter()
-    rep = run_verification(
-        max_n=6, tolerance=1e-8, ns=(2, 3, 4, 6), include_generator=False
-    )
+    rep = run_verification(max_n=6)
     elapsed = time.perf_counter() - t0
     ok = rep.all_passed and elapsed <= 120.0
     report(

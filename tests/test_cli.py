@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import squeeze_dyn
-from squeeze_dyn import cli
+from squeeze_dyn import ChannelKind, channel_xi2, cli
 from squeeze_dyn._format import parse_header
 from squeeze_dyn.analytic import xi2_oat_curve
 from squeeze_dyn.cli import main
@@ -1091,4 +1091,9 @@ def test_evolve_at_the_largest_times_writes_no_nan(gamma, eta0, tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(args) == 0
+    # at t = 0 kappa is exactly 1 (the weak branch once summed its two
+    # weights to 0.9999999999999999) and xi2 is the pure-state value
+    alpha = float(parse_header(out.read_text())["alpha"])
+    pure = channel_xi2(10, alpha, 1.0, ChannelKind.DAMPING)
+    assert _csv_rows(out)[0].tolist() == [0.0, 1.0, pure]
     assert _csv_rows(out)[1].tolist() == [1e308, 0.0, 1.0]

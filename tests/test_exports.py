@@ -23,7 +23,6 @@ PUBLIC = [
     # model
     "ChannelKind",
     "Definition",
-    "EnsembleConfig",
     "EnsembleWarning",
     "LindbladParams",
     "Regime",

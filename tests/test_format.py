@@ -106,9 +106,9 @@ def test_tables_from_an_array_match_tables_from_rows(name, writer):
     array = np.array(rows, dtype=float).reshape(-1, 4)
     want = io.StringIO()
     writer(want, "curve", {"n": 10}, list("wxyz"), array.tolist())
-    # the array itself, and its rows one at a time as perfbench's tracer
-    # passes them
-    for table in (array, (row for row in array)):
+    # the array itself, and for write_csv its rows one at a time as
+    # perfbench's tracer passes them
+    for table in (array, (row for row in array)) if writer is write_csv else (array,):
         fp = io.StringIO()
         writer(fp, "curve", {"n": 10}, list("wxyz"), table)
         assert fp.getvalue() == want.getvalue()

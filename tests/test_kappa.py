@@ -58,7 +58,11 @@ def test_markovian_rejects_a_rate_that_is_not_finite_and_positive(rate):
             kappa_markovian(rate, t)
 
 
-@pytest.mark.parametrize("res", [STRONG, WEAK, CRITICAL])
+# the weak branch's two weights once summed to 0.9999999999999999 at
+# (1, 0.005) and (0.01, 0.002)
+@pytest.mark.parametrize(
+    "res", [STRONG, WEAK, CRITICAL, ReservoirConfig(1.0, 0.005), ReservoirConfig(0.01, 0.002)]
+)
 def test_lorentzian_starts_at_one(res):
     assert kappa_lorentzian(res, 0.0) == 1.0
 

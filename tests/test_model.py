@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from squeeze_dyn import (
-    EnsembleConfig,
     EnsembleWarning,
     LindbladParams,
     Regime,
@@ -18,49 +17,49 @@ from squeeze_dyn.model import MAX_GRID_NODES
 
 
 def test_validate_interior_angle_has_no_warnings():
-    res = validate_ensemble(EnsembleConfig(n_particles=10, alpha=0.1))
+    res = validate_ensemble(10, 0.1)
     assert type(res) is tuple
     assert res == ()
 
 
 def test_validate_flags_product_state_at_pi():
-    res = validate_ensemble(EnsembleConfig(10, math.pi))
+    res = validate_ensemble(10, math.pi)
     assert res == (EnsembleWarning.PRODUCT_STATE,)
 
 
 def test_validate_flags_graph_state_at_half_pi():
-    res = validate_ensemble(EnsembleConfig(10, math.pi / 2))
+    res = validate_ensemble(10, math.pi / 2)
     assert res == (EnsembleWarning.GRAPH_STATE,)
 
 
 def test_validate_flags_angles_outside_regime():
-    res = validate_ensemble(EnsembleConfig(10, -0.3))
+    res = validate_ensemble(10, -0.3)
     assert res == (EnsembleWarning.OUTSIDE_SQUEEZED_REGIME,)
 
 
 def test_validate_rejects_bad_n_and_nonfinite():
     with pytest.raises(NonPositiveN):
-        validate_ensemble(EnsembleConfig(0, 0.1))
+        validate_ensemble(0, 0.1)
     with pytest.raises(NonFiniteParameter):
-        validate_ensemble(EnsembleConfig(3, math.nan))
+        validate_ensemble(3, math.nan)
 
 
 @pytest.mark.parametrize("alpha", [1e308, -1e308, 8.99e307])
 def test_validate_rejects_an_alpha_whose_double_overflows(alpha):
     # the closed forms take cos(2*alpha)
     with pytest.raises(NonFiniteParameter, match="2\\*alpha overflows"):
-        validate_ensemble(EnsembleConfig(3, alpha))
+        validate_ensemble(3, alpha)
     # the largest doubles that still double finitely pass
-    validate_ensemble(EnsembleConfig(3, 8.98e307))
+    validate_ensemble(3, 8.98e307)
 
 
 def test_validate_does_not_call_a_huge_angle_a_product_state():
     # the endpoint tolerance 1e-12 |alpha/(pi/2)| would reach 1/2 near
     # alpha = 7.9e11 and claim every angle; here cos(2 alpha) = 0.568
-    assert validate_ensemble(EnsembleConfig(10, 1e17)) == (
+    assert validate_ensemble(10, 1e17) == (
         EnsembleWarning.OUTSIDE_SQUEEZED_REGIME,
     )
-    assert validate_ensemble(EnsembleConfig(10, 8.98e307)) == (
+    assert validate_ensemble(10, 8.98e307) == (
         EnsembleWarning.OUTSIDE_SQUEEZED_REGIME,
     )
 
@@ -69,7 +68,7 @@ def test_validate_flags_every_multiple_of_half_pi_up_to_a_million():
     ks = sorted({*range(-200, 2001), *np.geomspace(2000, 10**6, 400).astype(int), 10**6})
     for k in ks:
         want = EnsembleWarning.PRODUCT_STATE if k % 2 == 0 else EnsembleWarning.GRAPH_STATE
-        assert validate_ensemble(EnsembleConfig(10, k * (math.pi / 2))) == (want,), k
+        assert validate_ensemble(10, k * (math.pi / 2)) == (want,), k
 
 
 def test_reservoir_regime_strong_d_value():

@@ -37,7 +37,14 @@ from squeeze_dyn.oracle import (
     reduced_sums,
 )
 from squeeze_dyn import verify
-from squeeze_dyn.verify import DEFAULT_ALPHAS, DEFAULT_KAPPAS, _delta, run_verification
+from squeeze_dyn.verify import (
+    DEFAULT_ALPHAS,
+    DEFAULT_KAPPAS,
+    _case_matrix,
+    _delta,
+    _worst,
+    run_verification,
+)
 
 
 def random_density(rng, dim=2):
@@ -186,12 +193,10 @@ def test_reduced_route_matches_density_matrix_without_symmetry(kind):
 
 
 def test_verification_at_the_cap():
-    rep = run_verification(
-        max_n=N_CAP, ns=(N_CAP,), alphas=(0.2,), include_generator=False
-    )
-    assert len(rep.cases) == 3 * len(DEFAULT_KAPPAS) * 2
-    assert rep.all_passed
-    assert rep.worst_exact_delta <= 1e-8
+    cases = _case_matrix([(N_CAP, 0.2)], DEFAULT_KAPPAS, 1e-8)
+    assert len(cases) == 3 * len(DEFAULT_KAPPAS) * 2
+    assert all(c["passed"] for c in cases)
+    assert _worst(cases, "delta_exact") <= 1e-8
 
 
 @pytest.mark.parametrize("kappas", [(0.0, 0.5), (0.5, 0.0)])
@@ -199,17 +204,17 @@ def test_verification_scores_agreeing_divergences_in_any_case_order(kappas):
     # at kappa = 0 the dephasing and depolarizing mean spins vanish, so
     # both routes give xi^2 = +inf: they agree, and inf - inf (nan) must
     # neither fail the case nor make the worst delta depend on case order
-    rep = run_verification(ns=(3, 4), alphas=(0.2,), kappas=kappas, include_generator=False)
-    both_inf = [c for c in rep.cases if c["oracle"] == c["exact"] == math.inf]
+    cases = _case_matrix([(3, 0.2), (4, 0.2)], kappas, 1e-8)
+    both_inf = [c for c in cases if c["oracle"] == c["exact"] == math.inf]
     assert {(c["channel"], c["definition"]) for c in both_inf} >= {
         (ChannelKind.DEPHASING.value, Definition.XI.value),
         (ChannelKind.DEPOLARIZING.value, Definition.XI.value),
     }
     assert all(c["delta_exact"] == 0.0 and c["passed"] for c in both_inf)
-    assert rep.all_passed
-    assert 0.0 < rep.worst_exact_delta <= 1e-8
-    finite = [c["delta_exact"] for c in rep.cases if math.isfinite(c["oracle"])]
-    assert rep.worst_exact_delta == max(finite)
+    assert all(c["passed"] for c in cases)
+    worst = _worst(cases, "delta_exact")
+    assert 0.0 < worst <= 1e-8
+    assert worst == max(c["delta_exact"] for c in cases if math.isfinite(c["oracle"]))
 
 
 def test_verification_fails_a_nan_on_either_route():
@@ -223,7 +228,7 @@ def test_verification_fails_a_nan_on_either_route():
 def test_verification_closed_forms_equal_channel_xi2():
     # verify evaluates each closed form on all its kappas in one array;
     # each value must be exactly the one channel_xi2 gives for its kappa
-    rep = run_verification(max_n=8, include_generator=False)
+    rep = run_verification(max_n=8)
     assert len(rep.cases) == 6 * len(DEFAULT_ALPHAS) * 3 * len(DEFAULT_KAPPAS) * 2
     for c in rep.cases:
         kind, definition = ChannelKind(c["channel"]), Definition(c["definition"])
@@ -232,7 +237,7 @@ def test_verification_closed_forms_equal_channel_xi2():
             assert c[form.value] == want
     # the oracle still rejects a bad kappa before any closed form sees it
     with pytest.raises(InvalidKappa):
-        run_verification(ns=(3,), kappas=(0.5, 1.5), include_generator=False)
+        _case_matrix([(3, alpha) for alpha in DEFAULT_ALPHAS], (0.5, 1.5), 1e-8)
 
 
 def test_verification_evaluates_each_closed_form_once(monkeypatch):
@@ -243,7 +248,7 @@ def test_verification_evaluates_each_closed_form_once(monkeypatch):
         return kappa_map(*args)
 
     monkeypatch.setattr("squeeze_dyn.verify._kappa_map", counted)
-    rep = run_verification(max_n=8, include_generator=False)
+    rep = run_verification(max_n=8)
     assert rep.all_passed
     # one call per (channel, definition, form), over every (n, alpha)
     assert len(calls) == len(set(calls)) == len(ChannelKind) * len(Definition) * len(Form)
@@ -251,10 +256,13 @@ def test_verification_evaluates_each_closed_form_once(monkeypatch):
 
 def test_verification_passes_at_alpha_zero():
     # alpha = 0: A = B = 0, so the reference numerator is 1 in its row
-    rep = run_verification(alphas=(0.0, 0.2))
-    assert rep.all_passed
-    zero = [c for c in rep.cases if c["alpha"] == 0.0]
-    assert len(zero) == len(rep.cases) // 2
+    ensembles = [(n, alpha) for n in (2, 3, 4, 5, 6) for alpha in (0.0, 0.2)]
+    cases = _case_matrix(ensembles, DEFAULT_KAPPAS, 1e-8)
+    assert all(c["passed"] for c in cases)
+    zero = [c for c in cases if c["alpha"] == 0.0]
+    assert len(zero) == len(cases) // 2
+    # and the two-particle reduction 1/(1 + sin a)
+    assert abs(xi2_oat(2, 0.0) - 1.0) <= 1e-8
 
 
 def test_fit_densities_are_the_seeded_normal_draws():
@@ -270,61 +278,12 @@ def _refuse_work(*args, **kwargs):
     raise AssertionError("a rejected input reached the case matrix")
 
 
-@pytest.mark.parametrize("empty", ["ns", "alphas", "kappas"])
-def test_verification_of_an_empty_case_matrix_is_a_validation_error(empty, monkeypatch):
-    # without a case it would report PASS having checked nothing
-    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
-    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
-    with pytest.raises(ValidationError, match=f"{empty} must hold at least one value"):
-        run_verification(**{empty: ()})
-
-
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
-def test_verification_rejects_a_non_finite_alpha_before_any_case(alpha, monkeypatch):
-    # the CLI's EnsembleConfig rejects the same alpha
-    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
-    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
-    with pytest.raises(ValidationError, match="alpha must be finite"):
-        run_verification(alphas=(0.2, alpha))
-
-
-@pytest.mark.parametrize("ns", [(10,), (2, 5), (1,), (0, 2), (-3,)])
-def test_verification_rejects_an_n_outside_two_to_max_n_before_any_case(ns, monkeypatch):
-    # run_verification checks "up to max_n particles", and no N below 2
-    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
-    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
-    with pytest.raises(ValidationError, match=r"ns entries must lie in \[2, max_n = 4\]"):
-        run_verification(max_n=4, ns=ns)
-
-
-@pytest.mark.parametrize("ns", [(3.0,), (2.5,), (2, "3"), (np.float64(3.0),)])
-def test_verification_rejects_an_n_that_is_not_an_integer_before_any_case(ns, monkeypatch):
-    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
-    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
-    with pytest.raises(ValidationError, match="ns entries must be integers"):
-        run_verification(max_n=4, ns=ns)
-
-
 @pytest.mark.parametrize("max_n", [2.5, 4.0, "4"])
 def test_verification_rejects_a_max_n_that_is_not_an_integer(max_n, monkeypatch):
     monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
     monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
     with pytest.raises(ValidationError, match="max_n must be an integer"):
         run_verification(max_n=max_n)
-
-
-def test_verification_takes_numpy_integer_ns():
-    report = run_verification(max_n=3, ns=(np.int64(3),), include_generator=False)
-    plain = run_verification(max_n=3, ns=(3,), include_generator=False)
-    assert report.all_passed
-    assert report.cases == plain.cases
-
-
-def test_verification_rejects_an_alpha_whose_double_overflows_before_any_case(monkeypatch):
-    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
-    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
-    with pytest.raises(ValidationError, match="2\\*alpha overflows"):
-        run_verification(alphas=(0.2, 1e308))
 
 
 def test_css_prime_parameter_is_one():
@@ -814,7 +773,7 @@ def test_batched_xi2_prime_raises_on_the_first_degenerate_row():
 
 
 def test_verification_cases_equal_the_per_case_route():
-    rep = run_verification(max_n=8, include_generator=False)
+    rep = run_verification(max_n=8)
     cases = iter(rep.cases)
     for n in (2, 3, 4, 5, 6, 8):
         for alpha in DEFAULT_ALPHAS:
