@@ -286,6 +286,40 @@ def test_verification_rejects_a_max_n_that_is_not_an_integer(max_n, monkeypatch)
         run_verification(max_n=max_n)
 
 
+@pytest.mark.parametrize("max_n", [1, 0, -3, N_CAP + 1])
+def test_verification_rejects_a_max_n_outside_two_to_n_cap_before_any_case(max_n, monkeypatch):
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match=rf"max_n must be an integer in \[2, {N_CAP}\]"):
+        run_verification(max_n=max_n)
+
+
+@pytest.mark.parametrize("tolerance", [0.0, -1e-8, math.nan, math.inf])
+def test_verification_rejects_a_bad_tolerance_before_any_case(tolerance, monkeypatch):
+    monkeypatch.setattr("squeeze_dyn.verify.build_oat_state", _refuse_work)
+    monkeypatch.setattr("squeeze_dyn.verify._fit_generators", _refuse_work)
+    with pytest.raises(ValidationError, match="tolerance must be finite and positive"):
+        run_verification(max_n=4, tolerance=tolerance)
+
+
+def test_verification_takes_a_numpy_integer_max_n():
+    report = run_verification(max_n=np.int64(3))
+    plain = run_verification(max_n=3)
+    assert report.all_passed
+    assert report.cases == plain.cases
+
+
+@pytest.mark.parametrize("max_n", [2, 7, 16])
+def test_verification_checks_the_default_ns_up_to_max_n(max_n):
+    rep = run_verification(max_n=max_n)
+    want = [n for n in verify.DEFAULT_NS if n <= max_n]
+    assert sorted({c["n"] for c in rep.cases}) == want
+    assert len(rep.cases) == len(want) * len(DEFAULT_ALPHAS) * 3 * len(DEFAULT_KAPPAS) * 2
+    assert [r["alpha"] for r in rep.two_particle_reductions] == list(DEFAULT_ALPHAS)
+    assert len(rep.generator_fits) == len(ChannelKind)
+    assert rep.all_passed
+
+
 def test_css_prime_parameter_is_one():
     m = collective_moments(build_oat_state(4, 0.0))
     assert xi2_prime_from_moments(m) == pytest.approx(1.0, abs=1e-12)
