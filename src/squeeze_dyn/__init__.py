@@ -24,7 +24,6 @@ from .analytic import (
 from .deathtimes import death_report, default_coarse_step, squeezed_intervals
 from .kappa import (
     KappaModel,
-    KappaSeries,
     LorentzianClosedForm,
     MarkovianExponential,
     MemoryKernel,
@@ -73,7 +72,6 @@ __all__ = [
     "validate_ensemble",
     # kappa
     "KappaModel",
-    "KappaSeries",
     "LorentzianClosedForm",
     "MarkovianExponential",
     "MemoryKernel",

@@ -173,9 +173,16 @@ def _load_tabulated(path: str) -> tuple[Tabulated, str]:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     buf = io.BytesIO(data)
     # the '#' header, blank lines, then the line naming the columns
+    line = b""
     for line in buf:
         if line.rstrip(b"\n") and not line.startswith(b"#"):
             break
+    try:  # a number there is a data row: skipping it would drop that row
+        float(line.split(b",", 1)[0])
+    except ValueError:
+        pass
+    else:
+        raise ValidationError(f"{path}: malformed kappa file: no column-names line")
     header = parse_header(data[: buf.tell()].decode("utf-8"))
     try:
         # one C-level parse of the rows: '#' comments and blank lines are

@@ -2,7 +2,7 @@
 
 Three model variants share one interface: a Markovian exponential, the
 closed-form solution for a resonant Lorentzian reservoir (all coupling
-regimes), and tabulated values from the numerical memory-kernel solver.
+regimes), and tabulated values (solver output or a kappa file).
 kappa multiplies the channel parametrizations applied per qubit; kappa(0)
 is exactly 1 and |kappa(t)| <= 1 for t >= 0.
 
@@ -19,14 +19,14 @@ oscillatory with sign changes (information backflow); the weak-coupling
 branch is the analytic continuation d -> i|d| (monotone positive decay)
 and the critical point eta0 = gamma/2 the limit exp(-gamma t/2)(1 + gamma t/2).
 ``solve_volterra`` integrates the same equation numerically for arbitrary
-kernels and is checked against the closed form.
+kernels into a ``Tabulated`` model, and is checked against the closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, IO, Mapping
+from typing import Callable, IO
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "LorentzianClosedForm",
     "Tabulated",
     "MemoryKernel",
-    "KappaSeries",
     "kappa_markovian",
     "kappa_lorentzian",
     "solve_volterra",
@@ -152,8 +151,8 @@ class MemoryKernel:
     """Two-point reservoir correlation function f(u), u >= 0.
 
     ``exponential`` builds the Lorentzian-reservoir kernel
-    f(u) = eta0*gamma*exp(-gamma*u)/2; any callable works for custom
-    spectra.
+    f(u) = eta0*gamma*exp(-gamma*u)/2; for custom spectra, any callable that
+    maps an array of u to an array of f(u) of the same shape works.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -176,25 +175,6 @@ class MemoryKernel:
         kernel = cls(evaluator=f)
         object.__setattr__(kernel, "_exponential", (scale, res.gamma))
         return kernel
-
-
-@dataclass(frozen=True)
-class KappaSeries:
-    """kappa sampled on a uniform grid; values[0] = 1."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def to_csv(self, fp: IO[str], params: Mapping[str, object] | None = None) -> None:
-        meta: dict[str, object] = {
-            "t_start": self.grid.t_start,
-            "t_end": self.grid.t_end,
-            "step": self.grid.step,
-        }
-        if params:
-            meta.update(params)
-        rows = np.column_stack((self.grid.nodes(), self.values))
-        write_csv(fp, "kappa", meta, ["t", "kappa"], rows)
 
 
 # base block of the history-sum tiling in ``_solve_general``: pairs closer
@@ -305,7 +285,7 @@ def _solve_exponential(
         hist = r * (hist + k_n)
 
 
-def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
+def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> Tabulated:
     """Numerically integrate kappa'(t) = -int_0^t f(t-s) kappa(s) ds.
 
     Product-trapezoidal quadrature for the history integral plus a
@@ -318,19 +298,21 @@ def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
     from one precomputed linear map of the block's inputs. Neither path
     makes a BLAS call, so neither output depends on the BLAS thread
     setting. The grid must start at t = 0 (the history integral anchors
-    there) and satisfy the stability guard step*sqrt(|f(0)|) < 0.1.
+    there) and satisfy the stability guard step*sqrt(|f(0)|) < 0.1. The
+    result is a ``Tabulated``: a solution that leaves [-1, 1], such as
+    cosh(0.2 t) of the constant kernel f = -0.04, raises ``ValidationError``.
     """
     if grid.t_start != 0.0:
         raise ValidationError("solver grids must start at t = 0")
     ts = grid.nodes()
     try:
         fvals = np.asarray(kernel(ts), dtype=float)
-        if fvals.shape != ts.shape:
-            fvals = np.array([float(kernel(float(u))) for u in ts])
     except KernelEvaluationError:
         raise
     except Exception as exc:
         raise KernelEvaluationError(f"kernel evaluation failed: {exc}") from exc
+    if fvals.shape != ts.shape:
+        raise KernelEvaluationError(f"kernel returned shape {fvals.shape}, not {ts.shape}")
     if not np.all(np.isfinite(fvals)):
         raise KernelEvaluationError("kernel returned non-finite values")
     if grid.step * math.sqrt(abs(fvals[0])) >= 0.1:
@@ -343,7 +325,7 @@ def solve_volterra(kernel: MemoryKernel, grid: TimeGrid) -> KappaSeries:
         _solve_general(fvals, grid.step, out)
     else:
         _solve_exponential(fvals, grid.step, *kernel._exponential, out)
-    return KappaSeries(grid=grid, values=out)
+    return Tabulated(grid=grid, values=out)
 
 
 class KappaModel:
@@ -392,8 +374,8 @@ class LorentzianClosedForm(KappaModel):
 
 @dataclass(frozen=True)
 class Tabulated(KappaModel):
-    """Linear interpolation of solver output (or any kappa sampled from
-    t = 0 on, with |kappa| <= 1)."""
+    """Linear interpolation of kappa sampled from t = 0 on: solver output or
+    a kappa file. kappa(0) must be exactly 1 and every value finite, |kappa| <= 1."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -430,3 +412,8 @@ class Tabulated(KappaModel):
             "t_end": self.grid.t_end,
             "step": self.grid.step,
         }
+
+    def to_csv(self, fp: IO[str]) -> None:
+        """The kappa file that ``--kappa-file`` reads: the grid, then rows t,kappa."""
+        rows = np.column_stack((self._nodes, self.values))
+        write_csv(fp, "kappa", self.params(), ["t", "kappa"], rows)

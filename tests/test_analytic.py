@@ -266,22 +266,14 @@ def test_large_n_evaluation_is_stable():
 
 
 def test_squeezing_curve_from_solver_output_matches_closed_form():
-    # full pipeline: numerical kappa -> tabulated model -> curve, against
+    # full pipeline: numerical kappa (a tabulated model) -> curve, against
     # the closed-form kappa driving the same formula
-    from squeeze_dyn import (
-        LorentzianClosedForm,
-        MemoryKernel,
-        ReservoirConfig,
-        Tabulated,
-        solve_volterra,
-    )
+    from squeeze_dyn import LorentzianClosedForm, MemoryKernel, ReservoirConfig, solve_volterra
 
     res = ReservoirConfig(gamma=0.01, eta0=10.0)
-    series = solve_volterra(MemoryKernel.exponential(res), TimeGrid(0.0, 50.0, 0.01))
+    solved = solve_volterra(MemoryKernel.exponential(res), TimeGrid(0.0, 50.0, 0.01))
     grid = TimeGrid(0.0, 50.0, 0.5)
-    curve_tab = squeezing_curve(
-        10, 0.2, ChannelKind.DEPHASING, Tabulated(series.grid, series.values), grid
-    )
+    curve_tab = squeezing_curve(10, 0.2, ChannelKind.DEPHASING, solved, grid)
     curve_exact = squeezing_curve(10, 0.2, ChannelKind.DEPHASING, LorentzianClosedForm(res), grid)
     np.testing.assert_allclose(curve_tab.values, curve_exact.values, atol=2e-4)
 

@@ -15,7 +15,7 @@ from squeeze_dyn import ChannelKind, channel_xi2, cli
 from squeeze_dyn._format import parse_header
 from squeeze_dyn.analytic import xi2_oat_curve
 from squeeze_dyn.cli import main
-from squeeze_dyn.kappa import KappaSeries, MemoryKernel, solve_volterra
+from squeeze_dyn.kappa import MemoryKernel, Tabulated, solve_volterra
 from squeeze_dyn.model import ReservoirConfig, TimeGrid
 
 
@@ -125,7 +125,7 @@ def test_evolve_tabulated_kappa(tmp_path):
     )
     kfile = tmp_path / "kappa.csv"
     with open(kfile, "w") as fp:
-        series.to_csv(fp, params={"model": "solver"})
+        series.to_csv(fp)
     out = tmp_path / "curve.csv"
     code = run(
         [
@@ -435,10 +435,10 @@ def test_tabulated_kappa_round_trips_through_csv(tmp_path):
     values = np.array([1.0, 0.25, -0.5, -1e-20, 0.0])
     kfile = tmp_path / "kappa.csv"
     with open(kfile, "w") as fp:
-        KappaSeries(grid, values).to_csv(fp, params={"model": "test"})
+        Tabulated(grid, values).to_csv(fp)
     header = parse_header(kfile.read_text())
     assert header["kind"] == "kappa" and header["schema"] == "squeeze-dyn/1"
-    assert header["model"] == "test"
+    assert (header["t_start"], header["t_end"], header["step"]) == ("0", "2", "0.5")
     model, digest = _load_tabulated(str(kfile))
     assert digest == hashlib.sha256(kfile.read_bytes()).hexdigest()
     assert model.grid == grid
@@ -452,6 +452,10 @@ def test_tabulated_kappa_round_trips_through_csv(tmp_path):
         ("t,kappa\n0,1\n", "need at least two"),  # one data row: no grid step
         ("t,kappa\n0,1\n0.5,abc\n1,0.5\n", "malformed kappa file"),  # non-numeric cell
         ("t,kappa\n0,1\n0.5\n1,0.5\n", "malformed kappa file"),  # missing cell
+        # no column-names line: the first row was skipped as the names, so
+        # the first file lost a row and the second read as starting at 0.5
+        ("0,1\n0,1\n0.5,0.9\n1.0,0.8\n", "malformed kappa file: no column-names line"),
+        ("0,1\n0.5,0.9\n1.0,0.8\n", "malformed kappa file: no column-names line"),
         # rows (0, 1), (0.9, 0.2), (1, 0.1) are not samples on the 0.5 grid
         ("# step = 0.5\nt,kappa\n0,1\n0.9,0.2\n1.0,0.1\n", "t column is not the grid"),
         ("t,kappa\n0,1\n0.5,0.5\n0.75,0.2\n1,0.1\n", "t column is not the grid"),
@@ -547,7 +551,7 @@ def test_reading_a_solver_kappa_file_makes_no_object_per_row(tmp_path):
     series = solve_volterra(MemoryKernel.exponential(ReservoirConfig(0.01, 10.0)), grid)
     kfile = tmp_path / "kappa.csv"
     with open(kfile, "w") as fp:
-        series.to_csv(fp, params={"model": "solver"})
+        series.to_csv(fp)
     tracemalloc.start()
     try:
         model, _ = _load_tabulated(str(kfile))
@@ -770,7 +774,7 @@ def test_evolve_header_bytes_tabulated_grid_keys(tmp_path, capsys):
     kfile = tmp_path / "kappa.csv"
     with open(kfile, "w") as fp:
         values = np.array([1.0, 0.9, 0.7, 0.4, 0.1])
-        KappaSeries(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp, params={"model": "test"})
+        Tabulated(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp)
     args = [
         "evolve", "--n", "4", "--alpha", "0.3", "--channel", "depolarizing",
         "--kappa", "tabulated", "--kappa-file", str(kfile), "--t-max", "1", "--dt", "0.25",
@@ -801,7 +805,7 @@ def test_death_times_tabulated_params_name_the_kappa_file(tmp_path):
     kfile = tmp_path / "kappa.csv"
     with open(kfile, "w") as fp:
         values = np.array([1.0, 0.9, 0.7, 0.4, 0.1])
-        KappaSeries(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp, params={"model": "test"})
+        Tabulated(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp)
     out = tmp_path / "death.json"
     args = [
         "death-times", "--n", "4", "--alpha", "0.3", "--channel", "depolarizing",
@@ -816,7 +820,7 @@ def test_death_times_tabulated_params_name_the_kappa_file(tmp_path):
     # the digest follows the bytes: one changed value gives another
     with open(kfile, "w") as fp:
         values = np.array([1.0, 0.9, 0.7, 0.4, 0.2])
-        KappaSeries(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp, params={"model": "test"})
+        Tabulated(TimeGrid(0.0, 2.0, 0.5), values).to_csv(fp)
     assert run(args) == 0
     assert json.loads(out.read_text())["params"]["kappa_sha256"] != params["kappa_sha256"]
 

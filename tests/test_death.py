@@ -14,7 +14,6 @@ from squeeze_dyn import (
     MarkovianExponential,
     MemoryKernel,
     ReservoirConfig,
-    Tabulated,
     TimeGrid,
     curve_evaluator,
     death_report,
@@ -174,15 +173,10 @@ def test_death_report_makes_one_pass(evaluator, horizon, step):
     assert report.calls == scan.calls
 
 
-def _solver_tabulated():
-    series = solve_volterra(MemoryKernel.exponential(STRONG), TimeGrid(0.0, 100.0, 0.01))
-    return Tabulated(series.grid, series.values)
-
-
 _MODELS = [
     LorentzianClosedForm(STRONG),
     MarkovianExponential(rate=0.005),
-    _solver_tabulated(),
+    solve_volterra(MemoryKernel.exponential(STRONG), TimeGrid(0.0, 100.0, 0.01)),
 ]
 
 

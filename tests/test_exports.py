@@ -32,7 +32,6 @@ PUBLIC = [
     "validate_ensemble",
     # kappa
     "KappaModel",
-    "KappaSeries",
     "LorentzianClosedForm",
     "MarkovianExponential",
     "MemoryKernel",

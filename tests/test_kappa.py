@@ -11,7 +11,6 @@ import pytest
 
 import squeeze_dyn
 from squeeze_dyn import (
-    KappaSeries,
     MemoryKernel,
     ReservoirConfig,
     Tabulated,
@@ -21,7 +20,6 @@ from squeeze_dyn import (
     kappa_zeros,
     solve_volterra,
 )
-from squeeze_dyn._format import parse_header
 from squeeze_dyn.errors import (
     KernelEvaluationError,
     NegativeTime,
@@ -438,32 +436,59 @@ def test_solver_wraps_kernel_failures():
         )
 
 
+def test_solver_rejects_a_kernel_that_does_not_keep_the_nodes_shape():
+    # the kernel is called once, on the array of nodes; a scalar result is
+    # not taken as a cue to call it again node by node
+    with pytest.raises(KernelEvaluationError, match=r"shape \(\), not \(101,\)"):
+        solve_volterra(MemoryKernel(evaluator=lambda u: 0.04), TimeGrid(0.0, 1.0, 0.01))
+
+
+def test_solver_result_outside_the_unit_interval_is_a_validation_error():
+    # f = -0.04 turns the equation into kappa'' = 0.04 kappa: kappa = cosh(0.2 t)
+    kernel = MemoryKernel(evaluator=lambda u: np.full_like(np.asarray(u, float), -0.04))
+    with pytest.raises(ValidationError, match=r"\|kappa\| <= 1"):
+        solve_volterra(kernel, TimeGrid(0.0, 10.0, 0.01))
+
+
+@pytest.mark.parametrize(
+    "evaluator",
+    [
+        lambda u: np.full_like(np.asarray(u, float), 0.04),
+        *(kernel.evaluator for kernel in _KERNELS.values()),
+    ],
+    ids=["constant", *_KERNELS],
+)
+def test_solver_keeps_the_test_kernels_inside_the_unit_interval(evaluator):
+    # each kernel solved above, on a long grid: the result is a valid kappa
+    model = solve_volterra(MemoryKernel(evaluator=evaluator), TimeGrid(0.0, 2000.0, 0.1))
+    assert model.values[0] == 1.0 and np.max(np.abs(model.values)) <= 1.0
+
+
 def test_solver_requires_zero_start():
     with pytest.raises(ValidationError):
         solve_volterra(MemoryKernel.exponential(STRONG), TimeGrid(1.0, 2.0, 0.01))
 
 
-def test_series_csv_round_trip():
-    grid = TimeGrid(0.0, 1.0, 0.25)
-    series = KappaSeries(grid=grid, values=np.array([1.0, 0.9, 0.7, 0.4, 0.1]))
+def test_tabulated_csv_round_trip():
+    tab = Tabulated(grid=TimeGrid(0.0, 1.0, 0.25), values=np.array([1.0, 0.9, 0.7, 0.4, 0.1]))
     buf = io.StringIO()
-    series.to_csv(buf, params={"model": "markovian", "rate": 0.005})
-    text = buf.getvalue()
-    header = parse_header(text)
-    assert header["schema"] == "squeeze-dyn/1"
-    assert header["model"] == "markovian"
-    rows = [line for line in text.splitlines() if not line.startswith("#")]
-    assert rows[0] == "t,kappa"
-    assert float(rows[1].split(",")[1]) == 1.0
+    tab.to_csv(buf)
+    lines = buf.getvalue().splitlines()
+    # the header is the grid, under the keys and in the order of ``params``
+    assert lines[:5] == [
+        "# kappa schema=squeeze-dyn/1", "# t_start = 0", "# t_end = 1", "# step = 0.25", "t,kappa",
+    ]
+    rows = [[float(c) for c in line.split(",")] for line in lines[5:]]
+    assert rows == np.column_stack((tab.grid.nodes(), tab.values)).tolist()
 
 
-def test_series_csv_makes_no_object_per_row(tmp_path):
-    series = solve_volterra(MemoryKernel.exponential(STRONG), TimeGrid(0.0, 100.0, 0.005))
-    assert series.grid.n_nodes == 20001
+def test_tabulated_csv_makes_no_object_per_row(tmp_path):
+    model = solve_volterra(MemoryKernel.exponential(STRONG), TimeGrid(0.0, 100.0, 0.005))
+    assert model.grid.n_nodes == 20001
     with open(tmp_path / "kappa.csv", "w") as fp:
         tracemalloc.start()
         try:
-            series.to_csv(fp, params={"model": "solver"})
+            model.to_csv(fp)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -2,6 +2,10 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
+import pytest
+
+from squeeze_dyn import ChannelKind, Definition, Form, channel_xi2, optimal_alpha
 from squeeze_dyn.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,3 +36,45 @@ def test_command_line_examples_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv[1:]) == 0, shlex.join(argv)
+
+
+def _verdict_rows():
+    """The rows of the table of thresholds under "The two closed-form
+    families": channel, definition, REFERENCE, EXACT, opposite verdicts."""
+    lines = _section("The two closed-form families").splitlines()
+    table = [line for line in lines if line.startswith("| ")][1:]
+    return [[cell.strip() for cell in line.strip("|").split("|")] for line in table]
+
+
+def _threshold(alpha, kind, definition, form):
+    """The kappa in (0, 1] above which the form is squeezed, to 1e-9;
+    0 where every kappa > 0 is."""
+
+    def squeezed(kappa):
+        return channel_xi2(10, alpha, kappa, kind, definition, form) < 1.0
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if squeezed(mid) else (mid, hi)
+    return lo
+
+
+def _read_threshold(cell):
+    return 0.0 if cell == "every kappa > 0" else float(cell.removeprefix("kappa > "))
+
+
+@pytest.mark.parametrize("row", _verdict_rows(), ids=lambda row: "-".join(row[:2]))
+def test_closed_form_verdict_thresholds_match_the_readme(row):
+    alpha, _ = optimal_alpha(10)
+    kind, definition = ChannelKind(row[0]), Definition(row[1])
+    got = [_threshold(alpha, kind, definition, form) for form in (Form.REFERENCE, Form.EXACT)]
+    for value, cell in zip(got, row[2:4]):
+        assert abs(value - _read_threshold(cell)) <= 1e-3
+    # each form changes its verdict once, at its threshold, so the share of
+    # opposite verdicts is the distance between the two thresholds
+    kappas = np.linspace(0.0, 1.0, 201)[1:]
+    for value, form in zip(got, (Form.REFERENCE, Form.EXACT)):
+        squeezed = [channel_xi2(10, alpha, k, kind, definition, form) < 1.0 for k in kappas]
+        assert squeezed == [k > value for k in kappas]
+    assert round(100 * (got[1] - got[0])) == int(row[4].removesuffix(" %"))
