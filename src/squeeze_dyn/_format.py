@@ -2,12 +2,16 @@
 
 CSV floats are written with 17 significant digits ('%.17g'), enough to
 round-trip IEEE doubles; CSV headers are '#'-prefixed ``key = value``
-lines and machine parseable. JSON tables and reports carry the bytes
+lines and machine parseable. A CSV table's cells are converted by one
+numpy kernel, ``_g17``, ``CSV_BLOCK_ROWS`` rows at a time, into exactly
+the bytes of '%.17g': by integer arithmetic, with the 17th digit rounded
+half to even, for 2e-11 <= |v| < 1e15, and by '%' one cell at a time
+outside that window. JSON tables and reports carry the bytes
 ``json.dump(obj, fp, indent=1)`` would write: each float is its shortest
 round-trip ``repr``, and inf and nan are written ``Infinity``,
-``-Infinity`` and ``NaN``. Both go through one encoder, not json's
-pure-Python one: the rows of a table given as a 2-D float array, and
-the rows of a report's lists of flat dicts, are formatted from one '%'
+``-Infinity`` and ``NaN``. They go through one encoder, not json's
+pure-Python one: the rows of a table given as a 2-D float array, and the
+rows of a report's lists of flat dicts, are formatted from one '%'
 template ``CHUNK_ROWS`` rows at a time, and an array is read a block of
 rows at a time, so no Python object is made per row. Identical inputs
 produce byte-identical files in either format.
@@ -24,10 +28,16 @@ import numpy as np
 
 SCHEMA = "squeeze-dyn/1"
 
-#: rows formatted by one '%' and written by one ``fp.write``: a chunk's
-#: cell strings take about 20 kB, so emission adds no peak memory, while
-#: the cost per chunk is already negligible against its cells
+#: rows of a JSON table, or of a report's list of flat dicts, formatted
+#: by one '%' and written by one ``fp.write``: a chunk's cell strings take
+#: about 20 kB, so emission adds no peak memory, while the cost per chunk
+#: is already negligible against its cells
 CHUNK_ROWS = 64
+
+#: rows of a CSV table converted by one ``_g17`` call and written by one
+#: ``fp.write``: a two-column block's temporaries peak near 0.8 MiB; at
+#: 1,024 rows the cost per block is small against its cells
+CSV_BLOCK_ROWS = 1024
 
 
 def fmt(x: float) -> str:
@@ -46,6 +56,117 @@ def write_header(fp: io.TextIOBase, kind: str, params: Mapping[str, object]) -> 
     fp.write(f"# {kind} schema={SCHEMA}\n")
     for key, val in params.items():
         fp.write(f"# {key} = {fmt_value(val)}\n")
+
+
+#: '%.17g' is at most 24 characters: '-2.2250738585072014e-308'
+_G17_WIDTH = 24
+_U64 = np.uint64
+#: 5**k for the decimal exponents of the fast path: k = 16 - X <= 27
+_POW5 = np.array([5**k for k in range(28)], dtype=_U64)
+_LIMB_DIGITS = np.stack(np.indices((10,) * 4, dtype=np.uint8), -1).reshape(-1, 4) + 48
+#: the ASCII of each 4-digit limb as one uint32: entries 0-9999 with
+#: every digit, 10000-19999 with the trailing zeros as pad bytes (0)
+_LIMBS = np.concatenate([
+    _LIMB_DIGITS,
+    _LIMB_DIGITS * (np.maximum.accumulate(_LIMB_DIGITS[:, ::-1], 1)[:, ::-1] > 48),
+]).view(np.uint32).ravel()
+
+
+def _scaled(m, e, x10):
+    """floor(m * 2**e / 10**(x10 - 16)), its remainder and the shift s.
+
+    m * 5**(16 - x10) is at most 2**116, kept as a (hi, lo) pair of
+    uint64 from four 32-bit partial products, then shifted right by
+    s = -(e + 16 - x10), which is 1..62 in the fast path's window. Every
+    uint64 operation takes uint64 operands: numpy < 2 turns uint64
+    combined with int64 into float64.
+    """
+    f = _POW5[16 - x10]
+    s = (x10 - e - 16).astype(_U64)
+    low32 = _U64(0xFFFFFFFF)
+    m0, m1, f0, f1 = m & low32, m >> _U64(32), f & low32, f >> _U64(32)
+    p00 = m0 * f0
+    mid = m0 * f1 + m1 * f0  # < 2**63 + 2**53
+    lo = p00 + (mid << _U64(32))
+    hi = m1 * f1 + (mid >> _U64(32)) + (lo < p00)
+    return (hi << (_U64(64) - s)) | (lo >> s), lo & ((_U64(1) << s) - _U64(1)), s
+
+
+def _g17(x: np.ndarray) -> np.ndarray:
+    """The bytes of ``'%.17g' % v`` for each v of a 1-D float64 array, as
+    the rows of a (len(x), 24) uint8 matrix, padded anywhere with 0 bytes.
+
+    A cell with 2e-11 <= |v| < 1e15 is converted exactly, as Ryu does
+    (Adams, PLDI 2018), into Gay's correctly rounded digits: the 17-digit
+    integer is round-half-to-even of m * 2**e / 10**(X - 16) for the
+    double's mantissa m and exponent e and its decimal exponent X, which
+    ``np.log10`` estimates and the truncated quotient fixes. Inside the
+    window X is -11..14. Fixed notation is used for -4 <= X <= 14 and
+    ``d.ddde-XX`` below that, each decimal-exponent group laid out with
+    slices of the digit matrix. Trailing zeros after the point, and a
+    point with no digit after it, become pad bytes. Every other cell (±0,
+    subnormal, tiny, >= 1e15, inf, nan) is '%.17g' of that cell alone.
+    """
+    out = np.zeros((len(x), _G17_WIDTH), dtype=np.uint8)
+    ax = np.abs(x)
+    inside = (ax >= 2e-11) & (ax < 1e15)
+    fast = np.flatnonzero(inside)
+    bits = x[fast].view(_U64)
+    m = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    e = (bits >> _U64(52) & _U64(0x7FF)).astype(np.int64) - 1075
+    x10 = np.floor(np.log10(ax[fast])).astype(np.int64)
+    q, r, s = _scaled(m, e, x10)
+    high = q >= _U64(10**17)
+    off = np.flatnonzero(high | (q < _U64(10**16)))
+    if len(off):  # log10 is a few ulps off next to powers of ten
+        x10[off] += np.where(high[off], 1, -1)
+        q[off], r[off], s[off] = _scaled(m[off], e[off], x10[off])
+    half = _U64(1) << (s - _U64(1))
+    # no double in the window rounds up to 10**17: the nearest one below
+    # each power of ten is more than half a unit of the 17th digit below
+    q += (r > half) | ((r == half) & (q & _U64(1)).astype(bool))
+    # one decimal-exponent group after another, each a run of rows
+    group = (x10 + 11).astype(np.int8)
+    order = np.argsort(group, kind="stable")
+    head, tail8 = np.divmod(q[order], _U64(10**8))
+    head = head.astype(np.uint32)
+    limbs = np.empty((len(order), 4), dtype=np.intp)
+    np.divmod(head % 100000000, 10000, out=(limbs[:, 0], limbs[:, 1]))
+    np.divmod(tail8.astype(np.uint32), 10000, out=(limbs[:, 2], limbs[:, 3]))
+    # a limb with only zero limbs after it takes its pad-byte spelling
+    trailing = np.ones(limbs.shape, dtype=bool)
+    trailing[:, 2] = limbs[:, 3] == 0
+    trailing[:, 1] = trailing[:, 2] & (limbs[:, 2] == 0)
+    trailing[:, 0] = trailing[:, 1] & (limbs[:, 1] == 0)
+    digits = np.empty((len(order), 17), dtype=np.uint8)
+    digits[:, 0] = head // 100000000 + 48
+    digits[:, 1:] = _LIMBS[limbs + trailing * 10000].view(np.uint8)
+    cells = np.zeros((len(order), _G17_WIDTH), dtype=np.uint8)
+    cells[:, 0] = (x[fast[order]] < 0) * np.uint8(45)  # '-'
+    stop = 0
+    for g, count in enumerate(np.bincount(group, minlength=26).tolist()):
+        if not count:
+            continue
+        start, stop = stop, stop + count
+        d, c, k = digits[start:stop], cells[start:stop], g - 11
+        if k >= 0:  # ddd.ddd: the integer digits keep their zeros
+            c[:, 1:k + 2] = d[:, :k + 1] | 48
+            c[:, k + 2] = (d[:, k + 1] != 0) * np.uint8(46)  # '.'
+            c[:, k + 3:19] = d[:, k + 1:]
+        elif k >= -4:  # 0.000ddd
+            c[:, 1:2 - k] = np.frombuffer(b"0.000"[:1 - k], np.uint8)
+            c[:, 2 - k:19 - k] = d
+        else:  # d.ddde-XX
+            c[:, 1] = d[:, 0]
+            c[:, 2] = (d[:, 1] != 0) * np.uint8(46)
+            c[:, 3:19] = d[:, 1:]
+            c[:, 19:23] = np.frombuffer(b"e-%02d" % -k, np.uint8)
+    # one 24-byte item per row: far cheaper to scatter than 24 bytes
+    out.view(f"V{_G17_WIDTH}")[fast[order]] = cells.view(f"V{_G17_WIDTH}")
+    for i in np.flatnonzero(~inside).tolist():
+        text = b"%.17g" % x[i]
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out
 
 
 def _chunks(rows: Iterable[Sequence[float]]) -> Iterator[tuple[int, Iterable[float]]]:
@@ -73,15 +194,26 @@ def write_csv(
 ) -> None:
     """Write a '#'-headed CSV table; every row holds ``len(columns)`` numbers.
 
-    ``rows`` is a 2-D array or any iterable of rows.
+    ``rows`` is a 2-D array or any iterable of rows; it is read into one
+    float64 array, so each cell is written as ``fmt`` writes it. The cells
+    are converted by ``_g17`` ``CSV_BLOCK_ROWS`` rows at a time (exactly
+    for 2e-11 <= |v| < 1e15 with 17 digits rounded half to even, by '%'
+    one cell at a time outside that window); each block is one uint8
+    matrix with its ',' and newline bytes, written with its pad bytes
+    dropped by one ``fp.write``.
     """
     write_header(fp, kind, params)
     fp.write(",".join(columns) + "\n")
-    # one format per chunk writes the same bytes as ``fmt`` per cell: '%g'
-    # converts each number with float() itself
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
-    for k, cells in _chunks(rows):
-        fp.write((line * k) % tuple(cells))
+    width = len(columns)
+    table = np.asarray(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.float64)
+    table = table.reshape(len(table), width)  # a row of another length raises
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start:start + CSV_BLOCK_ROWS]
+        text = np.empty((len(block), width, _G17_WIDTH + 1), dtype=np.uint8)
+        text[:, :, :-1] = _g17(block.ravel()).reshape(len(block), width, _G17_WIDTH)
+        text[:, :, -1] = 44  # ','
+        text[:, -1, -1] = 10  # '\n'
+        fp.write(text.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def write_json(
@@ -173,11 +305,14 @@ def _encode(obj, level: int) -> Iterator[str]:
         if isinstance(obj, np.ndarray):
             # a 2-D float table: each cell is its float repr, which is what
             # json prints for a float
-            row = "[" + field + ("," + field).join(["%s"] * obj.shape[1]) + inner + "]"
+            row = "[" + field + ("," + field).join(["%r"] * obj.shape[1]) + inner + "]"
             for k, cells in _chunks(obj):
-                text = ("," + inner).join([row] * k) % tuple(map(float.__repr__, cells))
-                # float repr spells only inf, -inf and nan with letters
-                yield sep + text.replace("inf", "Infinity").replace("nan", "NaN")
+                text = ("," + inner).join([row] * k) % tuple(cells)
+                # float repr spells only inf, -inf and nan with letters, and
+                # each of them with an 'n'
+                if "n" in text:
+                    text = text.replace("inf", "Infinity").replace("nan", "NaN")
+                yield sep + text
                 sep = "," + inner
         elif (keys := _flat_keys(obj)) is None:
             for item in obj:

@@ -164,6 +164,8 @@ def _load_tabulated(path: str) -> tuple[Tabulated, str]:
     with open(path, "rb") as fp:
         data = fp.read()
     digest = hashlib.sha256(data).hexdigest()
+    if data.startswith(b"\xef\xbb\xbf"):  # a UTF-8 byte-order mark
+        data = data[3:]
     if not data.isascii():
         try:
             data.decode("utf-8")
@@ -196,6 +198,14 @@ def _load_tabulated(path: str) -> tuple[Tabulated, str]:
             )
     except ValueError as exc:
         raise ValidationError(f"{path}: malformed kappa file: {exc}") from exc
+    # float() reads nan, inf and infinity, which no kappa file holds
+    bad = np.argwhere(~np.isfinite(cells))
+    if len(bad):
+        row, col = bad[0]
+        raise ValidationError(
+            f"{path}: malformed kappa file: data row {row + 1}, column {col + 1} "
+            f"reads {float(cells[row, col])!r}, not a finite number"
+        )
     if len(cells) < 2:
         raise ValidationError(f"{path}: need at least two (t, kappa) data rows")
     ts, vals = np.ascontiguousarray(cells.T)

@@ -452,6 +452,9 @@ def test_tabulated_kappa_round_trips_through_csv(tmp_path):
         ("t,kappa\n0,1\n", "need at least two"),  # one data row: no grid step
         ("t,kappa\n0,1\n0.5,abc\n1,0.5\n", "malformed kappa file"),  # non-numeric cell
         ("t,kappa\n0,1\n0.5\n1,0.5\n", "malformed kappa file"),  # missing cell
+        # float() reads nan and inf; neither is a sample of kappa or a time
+        ("t,kappa\n0,1\n0.5,nan\n1,0.5\n", "malformed kappa file: data row 2, column 2 reads nan"),
+        ("t,kappa\n0,1\ninf,0.5\n1,0.5\n", "malformed kappa file: data row 2, column 1 reads inf"),
         # no column-names line: the first row was skipped as the names, so
         # the first file lost a row and the second read as starting at 0.5
         ("0,1\n0,1\n0.5,0.9\n1.0,0.8\n", "malformed kappa file: no column-names line"),
@@ -473,6 +476,22 @@ def test_malformed_kappa_file_is_a_usage_error(tmp_path, body, reason, capsys):
     )
     assert code == 2
     assert reason in capsys.readouterr().err
+
+
+def test_kappa_file_with_a_byte_order_mark_reads_as_without_one(tmp_path):
+    from squeeze_dyn.cli import _load_tabulated
+
+    grid = TimeGrid(0.0, 10.0, 0.05)
+    series = solve_volterra(MemoryKernel.exponential(ReservoirConfig(0.01, 10.0)), grid)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    with open(plain, "w") as fp:
+        series.to_csv(fp)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    (want, _), (model, digest) = _load_tabulated(str(plain)), _load_tabulated(str(marked))
+    assert model.grid == want.grid == grid
+    assert np.array_equal(model.values, want.values)
+    # the digest is taken over the file's bytes, the mark included
+    assert digest == hashlib.sha256(marked.read_bytes()).hexdigest()
 
 
 def test_kappa_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):

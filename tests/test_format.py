@@ -2,21 +2,31 @@ import functools
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from squeeze_dyn import (
     ChannelKind,
+    Definition,
+    Form,
     LorentzianClosedForm,
     MarkovianExponential,
+    MemoryKernel,
     ReservoirConfig,
+    TimeGrid,
+    cli,
     curve_evaluator,
     death_report,
+    solve_volterra,
+    squeezing_curve,
 )
 from squeeze_dyn._format import (
     CHUNK_ROWS,
+    CSV_BLOCK_ROWS,
     SCHEMA,
+    _g17,
     fmt,
     parse_header,
     write_csv,
@@ -57,6 +67,103 @@ def test_write_csv_bytes_match_per_cell_join():
     # a generator, as perfbench's tracer passes, spanning several chunks
     write_csv(fp, "kappa", {}, list("wxyz"), (row for row in table.tolist()))
     assert fp.getvalue() == _per_cell_csv("kappa", {}, list("wxyz"), table.tolist())
+    # int, bool and float32 cells, over several blocks of the CSV kernel
+    k = 2 * CSV_BLOCK_ROWS + 3
+    ints = rng.integers(-(2**62), 2**62, k) >> rng.integers(0, 62, k)
+    f32 = (rng.standard_normal(k) * 10.0 ** rng.integers(-12, 16, k)).astype(np.float32)
+    mixed = [[int(i), bool(i & 1), f, np.int64(i)] for i, f in zip(ints.tolist(), f32)]
+    fp = io.StringIO()
+    write_csv(fp, "kappa", {}, list("wxyz"), mixed)
+    assert fp.getvalue() == _per_cell_csv("kappa", {}, list("wxyz"), mixed)
+
+
+def _g17_lines(x):
+    """``_g17``'s rows as text, one line each."""
+    cells = _g17(np.asarray(x, dtype=np.float64))
+    text = np.hstack([cells, np.full((len(cells), 1), 10, dtype=np.uint8)])
+    return text[text != 0].tobytes().decode("ascii").splitlines()
+
+
+def _g17_draw():
+    """Doubles across every binade, the kernel's window edges, powers of
+    ten and exact ties at the 17th digit, with the cells it leaves to '%',
+    by name; each part holds both signs."""
+    rng = np.random.default_rng(20121)
+    parts = {
+        "bits": rng.integers(0, 2**64, 10_000, dtype=np.uint64).view(np.float64),
+        # random mantissas in each binade that meets the window
+        "window": (
+            rng.integers(2**52, 2**53, 30_000, dtype=np.uint64)
+            + (rng.integers(1023 - 37, 1023 + 51, 30_000, dtype=np.uint64) << np.uint64(52))
+        ).view(np.float64),
+        "specials": np.array([0.0, math.inf, math.nan, 5e-324, 2.225073858507201e-308]),
+    }
+    # positive doubles in order are consecutive integers in their bits
+    ulps = np.arange(-4, 5)
+    parts["edges"] = (np.array([2e-11, 1e15]).view(np.int64)[:, None] + ulps).view(np.float64)
+    powers = 10.0 ** np.arange(-12, 18)
+    parts["powers"] = (powers.view(np.int64)[:, None] + ulps[3:6]).view(np.float64)
+    # v = c / 2**(17 - X) with c odd lies exactly halfway between two
+    # 17-digit decimals of exponent X; such doubles exist for X >= -8
+    ties = []
+    for x10 in range(-8, 15):
+        scale = 2.0 ** (17 - x10)
+        lo, hi = math.ceil(10.0**x10 * scale), min(math.floor(10.0 ** (x10 + 1) * scale), 2**53)
+        c = rng.integers(lo, hi, 800) | 1
+        ties.append(c[c < hi] / scale)
+    parts["ties"] = np.concatenate(ties)
+    return {name: np.concatenate([x.ravel(), -x.ravel()]) for name, x in parts.items()}
+
+
+def _x10(v):
+    """The decimal exponent of ``v`` rounded to 17 digits."""
+    return int(("%.16e" % v).split("e")[1])
+
+
+def test_g17_is_percent_format_of_every_cell():
+    parts = _g17_draw()
+    x = np.concatenate(list(parts.values()))
+    # the draw reaches every path: each decimal exponent of the window,
+    # both of its edges, ties in 23 decades and every kind of other cell
+    ax = np.abs(x)
+    inside = (ax >= 2e-11) & (ax < 1e15)
+    assert set(range(-11, 15)) <= set(np.floor(np.log10(ax[inside])).astype(int).tolist())
+    edges = np.abs(parts["edges"])
+    assert np.count_nonzero(edges < 2e-11) == 8 and np.count_nonzero(edges >= 1e15) == 10
+    ties = parts["ties"][::7].tolist()
+    assert all((Fraction(v) * Fraction(10) ** (16 - _x10(v))).denominator == 2 for v in ties)
+    assert len({_x10(v) for v in ties}) == 23
+    assert np.isnan(x).any() and np.isinf(x).any() and (x == 0).any()
+    assert ((ax > 0) & (ax < 2.2250738585072014e-308)).any()
+    assert _g17_lines(x) == ["%.17g" % v for v in x.tolist()]
+
+
+def test_csv_files_are_a_per_cell_join_of_their_arrays(tmp_path):
+    out = tmp_path / "curve.csv"
+    argv = [
+        "evolve", "--n", "10", "--channel", "dephasing", "--definition", "xi",
+        "--form", "reference", "--kappa", "lorentzian", "--t-max", "150", "--dt", "0.1",
+        "--compare-markovian", "0.005", "--reproducible", "-o", str(out),
+    ]
+    assert cli.main(argv) == 0
+    text = out.read_text()
+    grid = TimeGrid(0.0, 150.0, 0.1)
+    model = LorentzianClosedForm(res=ReservoirConfig(gamma=0.01, eta0=10.0))
+    alpha = float(parse_header(text)["alpha"])
+    curve = squeezing_curve(
+        10, alpha, ChannelKind.DEPHASING, model, grid, Definition.XI, Form.REFERENCE, 0.005
+    )
+    rows = zip(grid.nodes(), curve.kappa, curve.values, curve.markov_values)
+    body = "".join(",".join(map(fmt, row)) + "\n" for row in rows)
+    assert text.endswith("\nt,kappa,xi2,xi2_markovian\n" + body)
+    # a 20,001-node solver file
+    series = solve_volterra(
+        MemoryKernel.exponential(ReservoirConfig(0.01, 10.0)), TimeGrid(0.0, 100.0, 0.005)
+    )
+    fp = io.StringIO()
+    series.to_csv(fp)
+    rows = zip(series.grid.nodes(), series.values)
+    assert fp.getvalue() == _per_cell_csv("kappa", series.params(), ["t", "kappa"], rows)
 
 
 def _json_dump(kind, params, columns, rows):

@@ -251,8 +251,7 @@ def _malformed(rng, kind, step, cells):
     plain = _kappa_file(step, cells)
     n = len(cells)
     if kind == "bom":
-        # the BOM makes the schema line the names line, and 't,kappa' a row
-        return b"\xef\xbb\xbf" + plain, False
+        return b"\xef\xbb\xbf" + plain, True
     if kind == "cr":
         return plain.replace(b"\n", b"\r"), True
     if kind == "crlf":
@@ -296,6 +295,9 @@ KAPPA_FILE_KINDS = (
     "kappa-above-one", "decreasing-t", "non-uniform-t", "repeated-t", "empty-cell",
     "step-disagrees", "not-utf8", "hex", "underscore",
 )
+# the kinds whose stderr must also say why: float() reads nan and inf,
+# which only the reader's own check rejects
+REASON = {"nan": "malformed kappa file: data row", "inf-t": "malformed kappa file: data row"}
 # the two files without a column-names line whose first row was skipped as
 # the names: one was read with a row lost, the other as starting at t = 0.5
 NO_NAMES_LINE = {
@@ -304,9 +306,10 @@ NO_NAMES_LINE = {
 }
 
 
-def _kappa_file_faults(path, t_max, step, want):
+def _kappa_file_faults(path, t_max, step, want, reason=None):
     """What is wrong with how ``evolve`` and ``death-times`` take the file:
-    ``want`` is the rows' kappa column if it must be read, else None."""
+    ``want`` is the rows' kappa column if it must be read, else None, and
+    a rejection's stderr must contain ``reason`` when one is given."""
     faults = []
     for command in ("evolve", "death-times"):
         argv = [
@@ -318,6 +321,7 @@ def _kappa_file_faults(path, t_max, step, want):
         code, _, err, escaped = run_main(argv)
         if want is None:
             ok = code == 2 and err.count("\n") == 1 and err.endswith("\n")
+            ok = ok and (reason is None or reason in err)
         else:
             ok = code == 0 and not err
         if escaped or not ok:
@@ -345,7 +349,7 @@ def test_seeded_kappa_file_fuzz(tmp_path):
         kind = rng.choice(KAPPA_FILE_KINDS)
         data, read = _malformed(rng, kind, step, [[repr(t), repr(k)] for t, k in zip(ts, ks)])
         path.write_bytes(data)
-        faults = _kappa_file_faults(path, ts[-1], step, ks if read else None)
+        faults = _kappa_file_faults(path, ts[-1], step, ks if read else None, REASON.get(kind))
         if faults:
             found.append((kind, data, faults))
     assert found == []
